@@ -1,10 +1,13 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-sched bench-serve serve-bench-demo profile-serve figures trace-demo serve-demo chaos-demo scale-demo twin-demo gate-demo gate-chaos-demo vulncheck
+.PHONY: check fmt vet build test race bench bench-sched bench-sim bench-serve serve-bench-demo profile-serve figures trace-demo serve-demo chaos-demo scale-demo twin-demo gate-demo gate-chaos-demo vulncheck
 
-# check is the CI gate: vet + build + full tests + race pass over the
-# concurrent packages (live runtime, lock-free deques, event rings).
-check: vet build test race
+# check is the CI gate: gofmt + vet + build + full tests + race pass over
+# the concurrent packages (live runtime, lock-free deques, event rings).
+check: fmt vet build test race
+
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -16,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/deque/... ./internal/obs/... ./internal/task/... ./internal/server/... ./internal/fault/... ./internal/client/... ./internal/scale/... ./internal/trace/... ./internal/gate/... ./internal/netfault/... ./cmd/watsd/...
+	$(GO) test -race ./internal/runtime/... ./internal/deque/... ./internal/obs/... ./internal/task/... ./internal/history/... ./internal/server/... ./internal/fault/... ./internal/client/... ./internal/scale/... ./internal/trace/... ./internal/gate/... ./internal/netfault/... ./cmd/watsd/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -27,6 +30,13 @@ bench:
 bench-sched:
 	$(GO) test -run xxx -bench 'BenchmarkSpawnParallel' -benchmem -count=5 ./internal/runtime/
 	$(GO) test -run xxx -bench 'BenchmarkObserveParallel' -benchmem -count=5 ./internal/task/
+
+# bench-sim measures the simulator (DESIGN.md §4's table): BenchmarkSimGrid
+# walks the 108-run grid the repository benchmark's sim_fig6 workload
+# times, so its ns/simulate and allocs/op reproduce that workload's
+# numbers with plain go test.
+bench-sim:
+	$(GO) test -run xxx -bench 'SimGrid|SimulatorThroughput|Reorganize' -benchmem .
 
 # bench-serve is the admission-path allocation gate (DESIGN.md §12): the
 # TestZeroAlloc* tests fail the build if a steady-state unary or batch

@@ -164,9 +164,31 @@ func BenchmarkAblations(b *testing.B) {
 
 // --- microbenchmarks of the scheduler's building blocks ---
 
+// BenchmarkSimGrid walks the grid the repository benchmark's sim_fig6
+// workload times (bench/sim.go): 3 machines × 4 schedulers × the 9
+// Table III benchmarks, one op = the 108 Simulate calls of one round.
+func BenchmarkSimGrid(b *testing.B) {
+	b.ReportAllocs()
+	runs := 0
+	for i := 0; i < b.N; i++ {
+		for _, arch := range []*wats.Arch{wats.AMC1, wats.AMC2, wats.AMC5} {
+			for _, k := range []wats.Kind{wats.Cilk, wats.PFT, wats.RTS, wats.WATS} {
+				for _, w := range wats.Benchmarks(1) {
+					if _, err := wats.Simulate(arch, k, w, wats.Config{Seed: uint64(1000 + i)}); err != nil {
+						b.Fatal(err)
+					}
+					runs++
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(runs), "ns/simulate")
+}
+
 // BenchmarkSimulatorThroughput measures simulated tasks per second of
 // wall time for a full WATS run.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := workload.GA(uint64(i))
 		w.Batches = 5
@@ -185,6 +207,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 func BenchmarkPolicies(b *testing.B) {
 	for _, k := range []wats.Kind{wats.Cilk, wats.PFT, wats.RTS, wats.WATS, wats.WATSTS} {
 		b.Run(string(k), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w := workload.GA(1)
 				w.Batches = 3
@@ -240,6 +263,8 @@ func BenchmarkReorganize(b *testing.B) {
 		}
 	}
 	alloc := history.NewAllocator(reg, amc.AMC1)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reg.Observe("a", 1) // dirty the epoch so Reorganize rebuilds
 		alloc.Reorganize()

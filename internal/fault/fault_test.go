@@ -50,17 +50,17 @@ func TestParseSpecDefaults(t *testing.T) {
 
 func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
-		"panic",             // no rate
-		"panic=nope",        // unparseable rate
-		"panic=1.5",         // rate > 1
-		"panic=-0.1",        // negative rate
-		"panic=0",           // zero rate: naming a fault that never fires is a typo
-		"cancel=0",          // zero rate
-		"delay=0:1ms",       // zero rate
-		"delay=0.1:banana",  // bad duration
-		"delay=0.1:-2ms",    // negative duration
-		"delay=0.1:0s",      // zero duration
-		"explode=0.5",       // unknown kind
+		"panic",               // no rate
+		"panic=nope",          // unparseable rate
+		"panic=1.5",           // rate > 1
+		"panic=-0.1",          // negative rate
+		"panic=0",             // zero rate: naming a fault that never fires is a typo
+		"cancel=0",            // zero rate
+		"delay=0:1ms",         // zero rate
+		"delay=0.1:banana",    // bad duration
+		"delay=0.1:-2ms",      // negative duration
+		"delay=0.1:0s",        // zero duration
+		"explode=0.5",         // unknown kind
 		"panic=0.6,delay=0.6", // rates sum > 1
 	} {
 		if _, err := ParseSpec(bad, 1); err == nil {

@@ -158,7 +158,7 @@ func TestEjectionAndProbeReentry(t *testing.T) {
 		c.observeRTT("w", 100, false, 0.3)
 	}
 	now := time.Now()
-	g.ejectOnce(now)                        // starts the sustain clock
+	g.ejectOnce(now)                            // starts the sustain clock
 	g.ejectOnce(now.Add(60 * time.Millisecond)) // past Window: ejects
 	if !c.ejected.Load() {
 		t.Fatal("c not ejected despite 10x sustained excess")

@@ -11,6 +11,7 @@ package history
 
 import (
 	"fmt"
+	"slices"
 
 	"wats/internal/amc"
 )
@@ -35,8 +36,18 @@ import (
 // preference-based stealing's "rob the weaker first" order is precisely
 // what rescues the literal rule's slow-group surplus.
 func Partition(w []float64, arch *amc.Arch) []int {
+	return literalCuts(make([]int, 0, arch.K()-1), w, arch)
+}
+
+// cutRule is a partition rule writing into caller-owned storage: it
+// builds the k-1 cut points in buf[:0] (growing it if needed) and returns
+// them, so the Allocator can run it every helper tick with one retained
+// buffer.
+type cutRule func(buf []int, w []float64, arch *amc.Arch) []int
+
+func literalCuts(buf []int, w []float64, arch *amc.Arch) []int {
+	cuts := buf[:0]
 	k := arch.K()
-	cuts := make([]int, 0, k-1)
 	if k == 1 {
 		return cuts
 	}
@@ -112,24 +123,25 @@ func PartitionBalanced(w []float64, arch *amc.Arch) []int {
 // "rob the weaker first" preference stealing redistributes most cheaply.
 // This is the default cut rule of the Allocator.
 func PartitionAnchored(w []float64, arch *amc.Arch) []int {
+	return anchoredCuts(make([]int, 0, arch.K()-1), w, arch)
+}
+
+func anchoredCuts(buf []int, w []float64, arch *amc.Arch) []int {
+	cuts := buf[:0]
 	k := arch.K()
-	cuts := make([]int, 0, k-1)
 	if k == 1 {
 		return cuts
 	}
 	tl := arch.LowerBound(w)
-	// prefix[i] = sum of w[:i].
-	prefix := make([]float64, len(w)+1)
-	for i, wi := range w {
-		prefix[i+1] = prefix[i] + wi
-	}
 	cumCap := 0.0
 	p := 0
+	prefix := 0.0 // sum of w[:p], accumulated left to right
 	for j := 0; j < k-1; j++ {
 		cumCap += arch.Groups[j].Capacity()
 		boundary := tl * cumCap
 		before := p
-		for p < len(w) && prefix[p+1] <= boundary*(1+1e-12) {
+		for p < len(w) && prefix+w[p] <= boundary*(1+1e-12) {
+			prefix += w[p]
 			p++
 		}
 		// Never leave a prefix group empty while classes remain: a class
@@ -138,6 +150,7 @@ func PartitionAnchored(w []float64, arch *amc.Arch) []int {
 		// an empty fast group would push a dominant class toward the
 		// slowest cores — the worst possible atomic assignment.
 		if p == before && p < len(w) {
+			prefix += w[p]
 			p++
 		}
 		cuts = append(cuts, p)
@@ -147,7 +160,13 @@ func PartitionAnchored(w []float64, arch *amc.Arch) []int {
 
 // AssignmentFromCuts expands cut points into a per-item group index.
 func AssignmentFromCuts(m int, cuts []int) []int {
-	assign := make([]int, m)
+	return assignmentInto(nil, m, cuts)
+}
+
+// assignmentInto is AssignmentFromCuts building in buf's storage; every
+// one of the m entries is written.
+func assignmentInto(buf []int, m int, cuts []int) []int {
+	assign := slices.Grow(buf[:0], m)[:m]
 	g, prev := 0, 0
 	for _, c := range cuts {
 		for i := prev; i < c && i < m; i++ {

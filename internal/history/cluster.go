@@ -78,18 +78,56 @@ func (m *ClusterMap) Classes(c int) []string {
 // each class by its overall workload n*w, partition with the default
 // anchored cut rule, and return the class-to-cluster mapping.
 func BuildClusterMap(reg *task.Registry, arch *amc.Arch) *ClusterMap {
-	classes := reg.Snapshot() // sorted by AvgWork descending
-	weights := make([]float64, len(classes))
-	for i, c := range classes {
-		weights[i] = c.TotalWork()
+	return new(builder).build(reg, arch, anchoredCuts, nil)
+}
+
+// builder holds the intermediate buffers of one §III-A pipeline run. The
+// Allocator keeps one under reorgMu and reuses it every helper tick; only
+// the published ClusterMap escapes a build, never a buffer.
+type builder struct {
+	classes []task.Class
+	weights []float64
+	cuts    []int
+	assign  []int
+}
+
+// build is the one snapshot → weights → partition → assign → map
+// pipeline. When the resulting assignment equals prev's (same classes,
+// same clusters, same k) it returns prev itself instead of an equal copy:
+// published maps are immutable, so re-publishing one is free and readers
+// cannot tell the difference.
+func (b *builder) build(reg *task.Registry, arch *amc.Arch, rule cutRule, prev *ClusterMap) *ClusterMap {
+	// The snapshot merges pending shard observations into the canonical
+	// class table — the fold-on-repartition step of the helper thread.
+	b.classes = reg.AppendSnapshot(b.classes[:0]) // sorted by AvgWork descending
+	b.weights = b.weights[:0]
+	for _, c := range b.classes {
+		b.weights = append(b.weights, c.TotalWork())
 	}
-	cuts := PartitionAnchored(weights, arch)
-	assign := AssignmentFromCuts(len(classes), cuts)
-	m := &ClusterMap{cluster: make(map[string]int, len(classes)), k: arch.K()}
-	for i, c := range classes {
-		m.cluster[c.Name] = assign[i]
+	b.cuts = rule(b.cuts, b.weights, arch)
+	b.assign = assignmentInto(b.assign, len(b.classes), b.cuts)
+	if prev.assigns(b.classes, b.assign, arch.K()) {
+		return prev
+	}
+	m := &ClusterMap{cluster: make(map[string]int, len(b.classes)), k: arch.K()}
+	for i, c := range b.classes {
+		m.cluster[c.Name] = b.assign[i]
 	}
 	return m
+}
+
+// assigns reports whether m is exactly the mapping classes[i] → assign[i]
+// over k clusters.
+func (m *ClusterMap) assigns(classes []task.Class, assign []int, k int) bool {
+	if m == nil || m.k != k || len(m.cluster) != len(classes) {
+		return false
+	}
+	for i, c := range classes {
+		if g, ok := m.cluster[c.Name]; !ok || g != assign[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Allocator ties a class Registry to a periodically rebuilt ClusterMap,
@@ -111,13 +149,14 @@ type Allocator struct {
 	current atomic.Pointer[ClusterMap]
 
 	// reorgMu serializes rebuilds (cold path: the helper thread, plus the
-	// reorganize-per-completion ablation); builtAt, dirty and partition are
-	// guarded by it.
+	// reorganize-per-completion ablation); builtAt, dirty, partition and
+	// the build buffers are guarded by it.
 	reorgMu   sync.Mutex
 	builtAt   uint64 // registry epoch when current was built
 	dirty     bool   // arch changed since current was built
 	reorgs    atomic.Int64
-	partition func([]float64, *amc.Arch) []int
+	partition cutRule
+	scratch   builder
 }
 
 // NewAllocator returns an Allocator over the given registry and
@@ -132,7 +171,7 @@ type Allocator struct {
 func NewAllocator(reg *task.Registry, arch *amc.Arch) *Allocator {
 	a := &Allocator{
 		reg:       reg,
-		partition: PartitionAnchored,
+		partition: anchoredCuts,
 	}
 	a.arch.Store(arch)
 	a.current.Store(&ClusterMap{cluster: map[string]int{}, k: arch.K()})
@@ -145,7 +184,7 @@ func NewAllocator(reg *task.Registry, arch *amc.Arch) *Allocator {
 func (a *Allocator) UseLiteralPartition() {
 	a.reorgMu.Lock()
 	defer a.reorgMu.Unlock()
-	a.partition = Partition
+	a.partition = literalCuts
 }
 
 // Registry returns the underlying class registry.
@@ -185,21 +224,10 @@ func (a *Allocator) Reorganize() bool {
 	if epoch == a.builtAt && !a.dirty {
 		return false
 	}
-	arch := a.arch.Load()
-	// Snapshot merges pending shard observations into the canonical class
-	// table — the fold-on-repartition step of the helper thread.
-	classes := a.reg.Snapshot()
-	weights := make([]float64, len(classes))
-	for i, c := range classes {
-		weights[i] = c.TotalWork()
-	}
-	cuts := a.partition(weights, arch)
-	assign := AssignmentFromCuts(len(classes), cuts)
-	m := &ClusterMap{cluster: make(map[string]int, len(classes)), k: arch.K()}
-	for i, c := range classes {
-		m.cluster[c.Name] = assign[i]
-	}
-	a.current.Store(m)
+	// An unchanged assignment re-publishes the same immutable map; it
+	// still counts as a rebuild, because the statistics it was scored
+	// against did change.
+	a.current.Store(a.scratch.build(a.reg, a.arch.Load(), a.partition, a.current.Load()))
 	a.builtAt = epoch
 	a.dirty = false
 	a.reorgs.Add(1)

@@ -1,6 +1,8 @@
 package history
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"wats/internal/amc"
@@ -186,5 +188,107 @@ func TestAllocatorSetArch(t *testing.T) {
 	}
 	if a.Reorganize() {
 		t.Fatal("Reorganize after the rebuild should be a no-op again")
+	}
+}
+
+// TestReorganizeReuse pins the reuse rule of the helper repartition: a
+// rebuild whose assignment equals the published one re-publishes that very
+// map (and still counts as a rebuild); a rebuild that moves a class
+// publishes a new map and leaves the old one — which readers may still
+// hold — untouched; and the scratch-reusing path always agrees with a
+// from-scratch BuildClusterMap.
+func TestReorganizeReuse(t *testing.T) {
+	arch := amc.MustNew("2g", amc.CGroup{Freq: 2, N: 2}, amc.CGroup{Freq: 1, N: 2})
+	reg := task.NewRegistry()
+	a := NewAllocator(reg, arch)
+	for i := 0; i < 10; i++ {
+		reg.Observe("other", 3)
+	}
+	reg.Observe("f", 10)
+	a.Reorganize()
+	m1 := a.Map()
+	want1 := m1.Snapshot()
+
+	reg.Observe("f", 10) // statistics move, the partition does not
+	if !a.Reorganize() {
+		t.Fatal("Reorganize after Observe should rebuild")
+	}
+	if a.Reorganizations() != 2 {
+		t.Fatalf("Reorganizations=%d want 2", a.Reorganizations())
+	}
+	if a.Map() != m1 {
+		t.Fatalf("identical assignment published a new map: %v then %v", want1, a.Map().Snapshot())
+	}
+
+	for i := 0; i < 500; i++ {
+		reg.Observe("f", 0.01) // f drops below other and changes cluster
+	}
+	a.Reorganize()
+	m2 := a.Map()
+	if m2 == m1 || m2.ClusterOf("f") == m1.ClusterOf("f") {
+		t.Fatalf("moved class did not publish a new map: %v then %v", want1, m2.Snapshot())
+	}
+	if got := m1.Snapshot(); !reflect.DeepEqual(got, want1) {
+		t.Fatalf("published map was modified: %v, was %v", got, want1)
+	}
+	if got, want := m2.Snapshot(), BuildClusterMap(reg, arch).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reorganize built %v, BuildClusterMap %v", got, want)
+	}
+}
+
+// TestReorganizeConcurrent runs the live runtime's arrangement under the
+// race detector: workers record through their shards and read the
+// published map on the spawn path while more than one goroutine drives
+// Reorganize, whose buffers are shared state under reorgMu. Every map a
+// reader sees must be complete, and the final map must be the one a
+// from-scratch build gives.
+func TestReorganizeConcurrent(t *testing.T) {
+	const workers, perWorker = 4, 2000
+	reg := task.NewSharded(workers)
+	a := NewAllocator(reg, amc.AMC2)
+	classes := []string{"a", "b", "c", "d", "e", "f"}
+
+	var recorders, helpers sync.WaitGroup
+	stop := make(chan struct{})
+	for h := 0; h < 2; h++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					a.Reorganize()
+				}
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		recorders.Add(1)
+		go func(w int) {
+			defer recorders.Done()
+			rec := reg.Recorder(w)
+			for i := 0; i < perWorker; i++ {
+				c := classes[(i+w)%len(classes)]
+				rec.Observe(c, float64(1+(i*7+w)%13), 0)
+				m := a.Map()
+				if g := m.ClusterOf(c); g < 0 || g >= m.K() {
+					t.Errorf("class %s in cluster %d of %d", c, g, m.K())
+					return
+				}
+			}
+		}(w)
+	}
+	recorders.Wait()
+	close(stop)
+	helpers.Wait()
+
+	a.Reorganize()
+	if got, want := a.Map().Snapshot(), BuildClusterMap(reg, amc.AMC2).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after quiescence Reorganize has %v, BuildClusterMap %v", got, want)
+	}
+	if len(a.Map().Snapshot()) != len(classes) {
+		t.Fatalf("final map knows %d classes, want %d", len(a.Map().Snapshot()), len(classes))
 	}
 }

@@ -47,10 +47,10 @@ func TestParseSpecErrors(t *testing.T) {
 		"drip=0.5:50ms:64:99", // too many fields
 		"reset=nope",
 		"blackhole=-1",
-		"flap=1s",      // missing duration
-		"flap=-1s:2s",  // negative start
+		"flap=1s",                 // missing duration
+		"flap=-1s:2s",             // negative start
 		"reset=0.6,blackhole=0.6", // partition overflow
-		"jitter=0.5",   // unknown kind
+		"jitter=0.5",              // unknown kind
 	}
 	for _, c := range bad {
 		if _, err := ParseSpec(c, 1); err == nil {

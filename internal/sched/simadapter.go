@@ -19,6 +19,8 @@ type simAdapter struct {
 	// statistics hot path, so both engines share one record-then-merge
 	// code path.
 	rec Recorder
+	// victims is snatchRandom's candidate buffer, sized for every core.
+	victims []*sim.Core
 }
 
 func (a *simAdapter) init(e *sim.Engine) {
@@ -26,6 +28,7 @@ func (a *simAdapter) init(e *sim.Engine) {
 	a.s.Bind(e.Arch)
 	a.pools = sim.NewPoolSet(e, a.s.Clusters())
 	a.rec = a.s.Recorder(0)
+	a.victims = make([]*sim.Core, 0, len(e.Cores()))
 }
 
 // inject routes an externally created task: the central queue for the
@@ -91,7 +94,7 @@ func (a *simAdapter) acquire(c *sim.Core) (*task.Task, float64) {
 // snatchRandom preempts the running task of a uniformly random busy core
 // belonging to a strictly slower c-group than the thief's (RTS).
 func (a *simAdapter) snatchRandom(thief *sim.Core) *task.Task {
-	var victims []*sim.Core
+	victims := a.victims[:0]
 	for _, v := range a.e.Cores() {
 		if v.Group > thief.Group && v.Running() != nil {
 			victims = append(victims, v)

@@ -77,9 +77,9 @@ func (p Params) withDefaults(size, n int) Params {
 // stop early — between-task cancellation is automatic, within-task
 // cancellation is cooperative.
 type Workload struct {
-	Name  string `json:"name"`
-	Class string `json:"class"`
-	Desc  string `json:"desc"`
+	Name  string                                        `json:"name"`
+	Class string                                        `json:"class"`
+	Desc  string                                        `json:"desc"`
 	Run   func(ctx *runtime.Ctx, p Params) (any, error) `json:"-"`
 }
 

@@ -198,6 +198,10 @@ func New(a *amc.Arch, p Policy, cfg Config) *Engine {
 		Cfg:        cfg,
 		Rng:        rng.New(cfg.Seed),
 		classTruth: map[string]*truth{},
+		// A core has at most one live segment end and one dispatch
+		// queued, plus the stale ends preemptions leave behind; replays
+		// that schedule every arrival up front grow past this.
+		ev: make(eventHeap, 0, 4*a.NumCores()),
 	}
 	f1 := a.FastestFreq()
 	for c := 0; c < a.NumCores(); c++ {
@@ -223,7 +227,7 @@ func (e *Engine) NumGroups() int { return e.Arch.K() }
 
 func (e *Engine) schedule(at float64, kind eventKind, core int, token int64) {
 	e.seq++
-	e.ev.push(event{at: at, seq: e.seq, kind: kind, core: core, token: token})
+	e.ev.push(event{at: at, seq: e.seq, kind: kind, core: int32(core), token: token})
 }
 
 // Inject introduces an externally created task at the current virtual
@@ -480,6 +484,7 @@ func (e *Engine) handleDispatch(c *Core) {
 	}
 	if c.ID == 0 && len(e.mainQ) > 0 {
 		t := e.mainQ[0]
+		e.mainQ[0] = nil // the backing array outlives the run of the task
 		e.mainQ = e.mainQ[1:]
 		e.startTask(c, t, 0)
 		return
@@ -490,8 +495,7 @@ func (e *Engine) handleDispatch(c *Core) {
 		c.idle = true
 		return
 	}
-	c.Overhead += 0 // overhead charged via startTask delay
-	e.startTask(c, t, overhead)
+	e.startTask(c, t, overhead) // charges the overhead as its start delay
 }
 
 func (e *Engine) handleSegEnd(c *Core) {

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // eventKind discriminates the engine's event types.
 type eventKind int8
 
@@ -25,24 +23,69 @@ type event struct {
 	at   float64
 	seq  int64
 	kind eventKind
-	core int
+	core int32
 	// token validates evSegEnd events: a preemption or re-dispatch bumps
 	// the core's run token, turning stale segment-end events into no-ops.
 	token int64
 }
 
-// eventHeap is a binary min-heap ordered by (at, seq).
+// before reports whether a pops ahead of b. seq is unique per engine, so
+// (at, seq) is a strict total order: every correct priority queue pops the
+// same sequence, which is what keeps runs bit-reproducible whatever the
+// queue's layout.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap ordered by (at, seq), typed so that push
+// and pop move events within one slice and never box them. Both sifts
+// carry the moving event in a local and shift the others into the hole,
+// writing it once at its final slot.
 type eventHeap []event
 
 func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = ev
 }
-func (h eventHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)    { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any      { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h *eventHeap) push(ev event) { heap.Push(h, ev) }
-func (h *eventHeap) pop() event    { return heap.Pop(h).(event) }
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	n := len(*h) - 1
+	top, ev := (*h)[0], (*h)[n]
+	*h = (*h)[:n] // self-slice: only the length is stored, no pointer write
+	s := *h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && s[r].before(&s[child]) {
+			child = r
+		}
+		if !s[child].before(&ev) {
+			break
+		}
+		s[i] = s[child]
+		i = child
+	}
+	if n > 0 {
+		s[i] = ev
+	}
+	return top
+}

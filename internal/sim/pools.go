@@ -20,12 +20,15 @@ type PoolSet struct {
 	// occupancy[cluster] is the number of cores whose pool for that
 	// cluster is non-empty, for O(1) "are there any Cj tasks?" checks.
 	occupancy []int
+	// victims is StealRandom's candidate buffer, sized for every core
+	// (the event loop is serial, so one buffer serves every thief).
+	victims []int
 }
 
 // NewPoolSet builds the (cores × clusters) deque matrix.
 func NewPoolSet(e *Engine, nClusters int) *PoolSet {
 	n := len(e.Cores())
-	p := &PoolSet{e: e, nCores: n, nCluster: nClusters, occupancy: make([]int, nClusters)}
+	p := &PoolSet{e: e, nCores: n, nCluster: nClusters, occupancy: make([]int, nClusters), victims: make([]int, 0, n)}
 	p.pools = make([]*deque.Deque[*task.Task], n*nClusters)
 	for i := range p.pools {
 		p.pools[i] = deque.New[*task.Task]()
@@ -90,7 +93,7 @@ func (p *PoolSet) StealRandom(thief *Core, cluster int) *task.Task {
 		return nil
 	}
 	// Collect non-empty victims; the serial event loop makes this exact.
-	var victims []int
+	victims := p.victims[:0]
 	for c := 0; c < p.nCores; c++ {
 		if c != thief.ID && !p.at(c, cluster).Empty() {
 			victims = append(victims, c)

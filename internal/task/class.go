@@ -1,9 +1,11 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -48,6 +50,11 @@ func (c Class) TotalWork() float64 { return float64(c.Count) * c.AvgWork }
 type Registry struct {
 	mu      sync.Mutex
 	classes map[string]*Class
+	// order lists the classes in the order the last snapshot sorted them
+	// (new classes at the end). A snapshot walks and re-sorts it instead
+	// of iterating the map: between two helper ticks few classes change
+	// rank, and sorting an almost sorted short slice is a single scan.
+	order []*Class
 	// ewma, when nonzero, switches the workload average from the paper's
 	// cumulative mean to an exponential moving average with this weight
 	// for the newest observation — an extension that adapts faster to
@@ -67,12 +74,12 @@ type Registry struct {
 	// joining worker. Shards are only ever added, never removed: a retiring
 	// worker's shard stays behind with its monotone totals, so its history
 	// folds into the canonical table exactly like a live worker's.
-	// consumed[i] tracks how much of shard i has been folded into classes
-	// (guarded by mu; grown lazily to match the set). consumedTotal mirrors
-	// the folded observation count so the pending check stays a handful of
-	// atomic loads.
+	// consumed[i][j] tracks how much of shard i's j-th slot has been folded
+	// into classes (guarded by mu; grown lazily to match the set).
+	// consumedTotal mirrors the folded observation count so the pending
+	// check stays a handful of atomic loads.
 	set           atomic.Pointer[shardSet]
-	consumed      []map[string]cursor
+	consumed      [][]cursor
 	consumedTotal atomic.Int64
 }
 
@@ -104,10 +111,6 @@ func NewSharded(n int) *Registry {
 		set.recs[i] = &Recorder{sh: set.shards[i]}
 	}
 	r.set.Store(set)
-	r.consumed = make([]map[string]cursor, n)
-	for i := range r.consumed {
-		r.consumed[i] = make(map[string]cursor)
-	}
 	return r
 }
 
@@ -145,12 +148,22 @@ func (r *Registry) Recorder(w int) *Recorder {
 // Shards returns the number of shard recorders.
 func (r *Registry) Shards() int { return len(r.set.Load().shards) }
 
-// growConsumedLocked extends the cursor table to cover every published
-// shard. Called with mu held before any cursor access.
-func (r *Registry) growConsumedLocked(n int) {
-	for len(r.consumed) < n {
-		r.consumed = append(r.consumed, make(map[string]cursor))
+// cursorsLocked returns shard i's cursors, one per slot of slots, growing
+// the table to cover every published shard and slot. Called with mu held.
+func (r *Registry) cursorsLocked(i int, slots []*slot) []cursor {
+	for len(r.consumed) <= i {
+		r.consumed = append(r.consumed, nil)
 	}
+	for len(r.consumed[i]) < len(slots) {
+		r.consumed[i] = append(r.consumed[i], cursor{})
+	}
+	return r.consumed[i]
+}
+
+// addClassLocked registers a new class record. Called with mu held.
+func (r *Registry) addClassLocked(c *Class) {
+	r.classes[c.Name] = c
+	r.order = append(r.order, c)
 }
 
 // SetEWMA switches the registry to exponential moving averages with the
@@ -193,7 +206,7 @@ func (r *Registry) ObserveFull(function string, workload, cmpi float64) bool {
 	r.epoch.Add(1)
 	c, ok := r.classes[function]
 	if !ok {
-		r.classes[function] = &Class{Name: function, Count: 1, AvgWork: workload, AvgCMPI: cmpi}
+		r.addClassLocked(&Class{Name: function, Count: 1, AvgWork: workload, AvgCMPI: cmpi})
 		return true
 	}
 	if a := r.ewma; a > 0 {
@@ -223,24 +236,20 @@ func (r *Registry) pendingLocked() bool {
 // table — the merge step the helper thread performs at reorganization
 // time. Called with mu held.
 func (r *Registry) foldLocked() {
-	shards := r.set.Load().shards
-	r.growConsumedLocked(len(shards))
-	for i, sh := range shards {
-		mp := sh.slots.Load()
-		if mp == nil {
-			continue
-		}
-		for name, sl := range *mp {
+	for i, sh := range r.set.Load().shards {
+		slots := sh.slots()
+		cursors := r.cursorsLocked(i, slots)
+		for j, sl := range slots {
 			n, sw, sc := sl.read()
-			cur := r.consumed[i][name]
+			cur := &cursors[j]
 			dn := n - cur.n
 			if dn == 0 {
 				continue
 			}
 			dw, dc := sw-cur.sumWork, sc-cur.sumCMPI
-			r.consumed[i][name] = cursor{n: n, sumWork: sw, sumCMPI: sc}
+			*cur = cursor{n: n, sumWork: sw, sumCMPI: sc}
 			r.consumedTotal.Add(dn)
-			r.foldBatch(name, dn, dw, dc)
+			r.foldBatch(sl.class, dn, dw, dc)
 		}
 	}
 }
@@ -256,7 +265,7 @@ func (r *Registry) foldBatch(name string, dn int64, dw, dc float64) {
 	fdn := float64(dn)
 	c, ok := r.classes[name]
 	if !ok {
-		r.classes[name] = &Class{Name: name, Count: int(dn), AvgWork: dw / fdn, AvgCMPI: dc / fdn}
+		r.addClassLocked(&Class{Name: name, Count: int(dn), AvgWork: dw / fdn, AvgCMPI: dc / fdn})
 		return
 	}
 	if a := r.ewma; a > 0 {
@@ -314,23 +323,32 @@ func (r *Registry) Epoch() uint64 {
 // workload (the order Algorithm 1 consumes), ties broken by name for
 // determinism. Pending shard observations are merged first — this is the
 // merge-on-repartition entry point of the helper thread.
-func (r *Registry) Snapshot() []Class {
+func (r *Registry) Snapshot() []Class { return r.AppendSnapshot(nil) }
+
+// AppendSnapshot is Snapshot into a caller-owned buffer: it appends the
+// sorted classes to buf and returns the extended slice, so a periodic
+// caller (the allocator's helper tick) passes its previous result
+// truncated to zero length and allocates nothing once the buffer has
+// grown to the class count. Class names are unique, so the order is a
+// strict total one and depends on neither the sort algorithm nor the
+// order the classes were in before.
+func (r *Registry) AppendSnapshot(buf []Class) []Class {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.pendingLocked() {
 		r.foldLocked()
 	}
-	out := make([]Class, 0, len(r.classes))
-	for _, c := range r.classes {
-		out = append(out, *c)
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].AvgWork != out[j].AvgWork {
-			return out[i].AvgWork > out[j].AvgWork
+	slices.SortFunc(r.order, func(a, b *Class) int {
+		if c := cmp.Compare(b.AvgWork, a.AvgWork); c != 0 {
+			return c
 		}
-		return out[i].Name < out[j].Name
+		return strings.Compare(a.Name, b.Name)
 	})
-	return out
+	buf = slices.Grow(buf, len(r.order))
+	for _, c := range r.order {
+		buf = append(buf, *c)
+	}
+	return buf
 }
 
 // Reset discards all collected statistics, including shard observations
@@ -341,19 +359,16 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.classes = make(map[string]*Class)
-	shards := r.set.Load().shards
-	r.growConsumedLocked(len(shards))
-	for i, sh := range shards {
-		mp := sh.slots.Load()
-		if mp == nil {
-			continue
-		}
-		for name, sl := range *mp {
+	r.order = nil
+	for i, sh := range r.set.Load().shards {
+		slots := sh.slots()
+		cursors := r.cursorsLocked(i, slots)
+		for j, sl := range slots {
 			n, sw, sc := sl.read()
-			if d := n - r.consumed[i][name].n; d > 0 {
+			if d := n - cursors[j].n; d > 0 {
 				r.consumedTotal.Add(d)
 			}
-			r.consumed[i][name] = cursor{n: n, sumWork: sw, sumCMPI: sc}
+			cursors[j] = cursor{n: n, sumWork: sw, sumCMPI: sc}
 		}
 	}
 	r.epoch.Add(1)

@@ -26,6 +26,8 @@ import (
 // atomic read-modify-write, and no retry loop appears anywhere on the
 // record path.
 type slot struct {
+	// class is the slot's task class; immutable.
+	class string
 	// Owner-side shadow accumulators: plain fields, touched only by the
 	// shard owner.
 	locN int64
@@ -64,28 +66,40 @@ func (s *slot) read() (n int64, sumWork, sumCMPI float64) {
 	return
 }
 
-// slotMap is the per-shard class index. Published maps are immutable: the
-// owner copies on class creation and swaps the pointer, so the merge path
-// can range over a loaded map without synchronization (RCU-style).
-type slotMap = map[string]*slot
+// slotSet is the per-shard class index: byClass serves the owner's
+// record-path lookup, list the cold-path walks (Epoch, merge), which run
+// every helper tick and must not pay a map iteration each. Published sets
+// are immutable: the owner copies on class creation and swaps the pointer,
+// so the merge path reads a loaded set without synchronization
+// (RCU-style). list only ever grows at its end, so a slot keeps its
+// position for the shard's lifetime and the registry's consumption
+// cursors are indexed by it.
+type slotSet struct {
+	byClass map[string]*slot
+	list    []*slot
+}
 
 // shard is one worker's private statistics area. It has no aggregate
 // counter of its own: the registry's epoch and pending-work checks sum the
 // published slot counts instead (cold path, and the class population is
 // small), keeping the record path at its minimum of two stores.
 type shard struct {
-	slots atomic.Pointer[slotMap]
-	_     [56]byte // keep neighboring shards' hot words off one cache line
+	set atomic.Pointer[slotSet]
+	_   [56]byte // keep neighboring shards' hot words off one cache line
+}
+
+// slots returns the shard's published slots in creation order.
+func (sh *shard) slots() []*slot {
+	if set := sh.set.Load(); set != nil {
+		return set.list
+	}
+	return nil
 }
 
 // count sums the shard's published per-slot observation counts.
 func (sh *shard) count() int64 {
-	m := sh.slots.Load()
-	if m == nil {
-		return 0
-	}
 	var t int64
-	for _, sl := range *m {
+	for _, sl := range sh.slots() {
 		t += sl.count.Load()
 	}
 	return t
@@ -93,24 +107,19 @@ func (sh *shard) count() int64 {
 
 // addSlot publishes a new class slot (copy-on-write; owner-only).
 func (sh *shard) addSlot(class string) *slot {
-	old := sh.slots.Load()
-	next := make(slotMap, 1+lenOf(old))
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
+	old := sh.slots()
+	next := &slotSet{
+		byClass: make(map[string]*slot, 1+len(old)),
+		list:    make([]*slot, 0, 1+len(old)),
 	}
-	sl := &slot{}
-	next[class] = sl
-	sh.slots.Store(&next)
+	for _, sl := range old {
+		next.byClass[sl.class] = sl
+	}
+	sl := &slot{class: class}
+	next.byClass[class] = sl
+	next.list = append(append(next.list, old...), sl)
+	sh.set.Store(next)
 	return sl
-}
-
-func lenOf(m *slotMap) int {
-	if m == nil {
-		return 0
-	}
-	return len(*m)
 }
 
 // Recorder is one worker's owner-only statistics sink: the lock-free
@@ -128,8 +137,8 @@ type Recorder struct {
 func (rec *Recorder) Observe(class string, workload, cmpi float64) {
 	sh := rec.sh
 	var sl *slot
-	if m := sh.slots.Load(); m != nil {
-		sl = (*m)[class]
+	if set := sh.set.Load(); set != nil {
+		sl = set.byClass[class]
 	}
 	if sl == nil {
 		sl = sh.addSlot(class)
@@ -138,7 +147,8 @@ func (rec *Recorder) Observe(class string, workload, cmpi float64) {
 }
 
 // cursor remembers how much of a shard slot the registry has folded into
-// the canonical table (guarded by Registry.mu).
+// the canonical table (guarded by Registry.mu); the registry keeps one per
+// slot, at the slot's position in its shard.
 type cursor struct {
 	n       int64
 	sumWork float64

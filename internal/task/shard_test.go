@@ -133,6 +133,37 @@ func TestShardedResetDropsPending(t *testing.T) {
 	}
 }
 
+// TestShardedLateClasses interleaves merges with classes joining a shard:
+// the registry's cursors are kept per slot position, so a class created
+// after earlier ones were merged must fold from zero while the earlier
+// ones fold only their new observations.
+func TestShardedLateClasses(t *testing.T) {
+	reg := NewSharded(2)
+	rec := reg.Recorder(1)
+	rec.Observe("a", 2, 0)
+	if c, _ := reg.Lookup("a"); c.Count != 1 || c.AvgWork != 2 {
+		t.Fatalf("first merge: %+v", c)
+	}
+	rec.Observe("b", 4, 0)
+	rec.Observe("a", 6, 0)
+	reg.Recorder(0).Observe("b", 8, 0)
+	if c, _ := reg.Lookup("a"); c.Count != 2 || c.AvgWork != 4 {
+		t.Fatalf("a after second merge: %+v", c)
+	}
+	if c, _ := reg.Lookup("b"); c.Count != 2 || c.AvgWork != 6 {
+		t.Fatalf("b after second merge: %+v", c)
+	}
+	reg.Reset()
+	rec.Observe("c", 1, 0)
+	rec.Observe("b", 3, 0)
+	if c, _ := reg.Lookup("b"); c.Count != 1 || c.AvgWork != 3 {
+		t.Fatalf("b after Reset: %+v", c)
+	}
+	if n := reg.Len(); n != 2 {
+		t.Fatalf("Len after Reset: got %d, want 2", n)
+	}
+}
+
 // TestShardedConcurrentRecorders hammers the record/merge protocol from
 // all sides under the race detector: every shard's owner records
 // concurrently while pollers merge via Lookup/Snapshot/Len/Epoch. The

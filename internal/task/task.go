@@ -17,8 +17,9 @@
 package task
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // State enumerates the lifecycle of a task inside an engine run.
@@ -142,7 +143,7 @@ func (t *Task) SortSpawns() {
 			t.Spawns[i].At = t.Work
 		}
 	}
-	sort.SliceStable(t.Spawns, func(i, j int) bool { return t.Spawns[i].At < t.Spawns[j].At })
+	slices.SortStableFunc(t.Spawns, func(a, b Spawn) int { return cmp.Compare(a.At, b.At) })
 }
 
 // TotalWork returns the task's own work plus that of all descendants

@@ -2,6 +2,7 @@ package task
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -180,6 +181,20 @@ func TestRegistrySnapshotOrder(t *testing.T) {
 	s2 := r2.Snapshot()
 	if s2[0].Name != "a" {
 		t.Fatalf("tie not broken by name: %+v", s2)
+	}
+	// The registry remembers the last sorted order between snapshots; a
+	// rank change since then must still come out sorted, and a reused
+	// buffer must hold exactly what a fresh Snapshot returns.
+	for i := 0; i < 20; i++ {
+		r.Observe("small", 100)
+	}
+	r.Observe("new", 7)
+	buf := r.AppendSnapshot(s[:0])
+	if len(buf) != 4 || buf[0].Name != "small" || buf[1].Name != "big" || buf[2].Name != "new" || buf[3].Name != "mid" {
+		t.Fatalf("snapshot after rank change not sorted: %+v", buf)
+	}
+	if fresh := r.Snapshot(); !slices.Equal(buf, fresh) {
+		t.Fatalf("reused buffer %+v differs from fresh snapshot %+v", buf, fresh)
 	}
 }
 

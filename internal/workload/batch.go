@@ -17,8 +17,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wats/internal/rng"
 	"wats/internal/sim"
@@ -118,11 +119,12 @@ func (w *Batch) defaults() {
 	}
 }
 
-// TasksPerBatch returns the number of leaf tasks each batch launches.
+// TasksPerBatch returns the number of leaf tasks each batch launches (a
+// class with a negative count launches none).
 func (w *Batch) TasksPerBatch() int {
 	n := 0
 	for _, c := range w.Mix {
-		n += c.Count
+		n += max(c.Count, 0)
 	}
 	return n
 }
@@ -146,28 +148,29 @@ func (w *Batch) buildBatch(batch int) *task.Task {
 	if w.OnBatchStart != nil {
 		w.OnBatchStart(batch, w)
 	}
-	var leaves []*task.Task
+	// One slab holds the root and every leaf, one slice every spawn point:
+	// two allocations a batch, whatever its size.
+	n := w.TasksPerBatch()
+	slab := make([]task.Task, 0, n+1)
+	spawns := make([]task.Spawn, 0, n)
 	for _, c := range w.Mix {
 		for i := 0; i < c.Count; i++ {
-			leaf := task.New(c.Name, c.Work*w.jitter())
-			leaf.MemFrac = c.MemFrac
-			leaf.CMPI = c.CMPI
-			leaves = append(leaves, leaf)
+			slab = append(slab, task.Task{Class: c.Name, Work: c.Work * w.jitter(), MemFrac: c.MemFrac, CMPI: c.CMPI})
+			spawns = append(spawns, task.Spawn{Child: &slab[len(slab)-1]})
 		}
 	}
-	w.r.Shuffle(len(leaves), func(i, j int) { leaves[i], leaves[j] = leaves[j], leaves[i] })
+	w.r.Shuffle(n, func(i, j int) { spawns[i], spawns[j] = spawns[j], spawns[i] })
 	switch w.Order {
 	case OrderLightFirst:
-		sort.SliceStable(leaves, func(i, j int) bool { return leaves[i].Work < leaves[j].Work })
+		slices.SortStableFunc(spawns, func(a, b task.Spawn) int { return cmp.Compare(a.Child.Work, b.Child.Work) })
 	case OrderHeavyFirst:
-		sort.SliceStable(leaves, func(i, j int) bool { return leaves[i].Work > leaves[j].Work })
+		slices.SortStableFunc(spawns, func(a, b task.Spawn) int { return cmp.Compare(b.Child.Work, a.Child.Work) })
 	}
-	root := task.New(w.MainClass, float64(len(leaves))*w.SpawnGap)
-	root.Main = true
-	for i, leaf := range leaves {
-		root.Spawns = append(root.Spawns, task.Spawn{At: float64(i) * w.SpawnGap, Child: leaf})
+	for i := range spawns {
+		spawns[i].At = float64(i) * w.SpawnGap
 	}
-	return root
+	slab = append(slab, task.Task{Class: w.MainClass, Work: float64(n) * w.SpawnGap, Main: true, Spawns: spawns})
+	return &slab[n]
 }
 
 // Start implements sim.Workload.
