@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-sched bench-sim bench-serve serve-bench-demo profile-serve figures trace-demo serve-demo chaos-demo scale-demo twin-demo gate-demo gate-chaos-demo vulncheck
+.PHONY: check fmt vet build test race bench bench-sched bench-sim bench-serve bench-stack bench-smoke accept profile-serve figures trace-demo serve-demo chaos-demo twin-demo vulncheck
 
 # check is the CI gate: gofmt + vet + build + full tests + race pass over
 # the concurrent packages (live runtime, lock-free deques, event rings).
@@ -19,7 +19,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/deque/... ./internal/obs/... ./internal/task/... ./internal/history/... ./internal/server/... ./internal/fault/... ./internal/client/... ./internal/scale/... ./internal/trace/... ./internal/gate/... ./internal/netfault/... ./cmd/watsd/...
+	$(GO) test -race ./internal/runtime/... ./internal/deque/... ./internal/obs/... ./internal/task/... ./internal/history/... ./internal/server/... ./internal/fault/... ./internal/client/... ./internal/scale/... ./internal/trace/... ./internal/gate/... ./internal/netfault/... ./internal/harness/... ./internal/wire/... ./cmd/watsd/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -46,19 +46,37 @@ bench-serve:
 	$(GO) test -run 'TestZeroAlloc' -count=1 -v ./internal/server/
 	$(GO) test -run xxx -bench 'BenchmarkUnaryAdmission|BenchmarkBatchAdmission16' -benchmem ./internal/server/
 
-# serve-bench-demo is the throughput acceptance run behind the committed
-# BENCH_serve.json: one in-process stack, the noop control workload,
-# unary vs batch vs streaming submission under equal concurrency.
-# -check enforces the headline: batch or stream >= 2x unary jobs/sec.
-serve-bench-demo:
-	$(GO) run ./cmd/servebench -check -out /tmp/BENCH_serve.json
+# bench-stack is the repository benchmark (BENCHMARK.json, bench/README.md):
+# six workloads from the whole stack down to the simulator, end-to-end
+# and per-layer metrics. bench-smoke is its CI form: 3 s a workload, and
+# it fails unless all six report "correct":true — absolute numbers do not
+# survive a shared runner, correctness does.
+bench-stack:
+	$(GO) run ./bench
 
-# profile-serve writes an alloc/heap profile of a servebench run to
+bench-smoke:
+	mkdir -p out
+	$(GO) run ./bench -seconds 3 | tee out/bench-smoke.txt
+	test "$$(grep -c '"correct":true' out/bench-smoke.txt)" -eq 6
+
+# accept runs the acceptance scenarios behind the committed
+# BENCH_{serve,elastic,gate,chaos}.json (cmd/watsaccept; each scenario
+# file states its hypothesis and gates): batch/stream vs unary admission
+# (DESIGN.md §12), the elastic pool vs a fixed one (§10), workload-aware
+# routing vs baselines plus failover (§13), gray-failure defences (§14).
+# Every run also checks job conservation at every layer. SCENARIO=gate
+# runs one; `go run ./cmd/watsaccept -scenario all -check -out .`
+# regenerates the committed artifacts.
+SCENARIO ?= all
+accept:
+	$(GO) run ./cmd/watsaccept -scenario $(SCENARIO) -check -out out/accept
+
+# profile-serve writes an alloc profile of the admission benchmarks to
 # out/serve.alloc.pprof — `go tool pprof -sample_index=alloc_objects`
 # it to hunt admission-path allocations.
 profile-serve:
 	mkdir -p out
-	$(GO) run ./cmd/servebench -duration 1s -memprofile out/serve.alloc.pprof
+	$(GO) test -run xxx -bench 'BenchmarkUnaryAdmission|BenchmarkBatchAdmission16' -memprofile out/serve.alloc.pprof -o out/server.test ./internal/server/
 
 figures:
 	$(GO) run ./cmd/watsbench -experiment all -seeds 5
@@ -102,16 +120,6 @@ chaos-demo:
 	  curl -sf http://127.0.0.1:18081/metrics | grep -E '^wats_(panics_total|jobs_total\{status="panicked"\})' && \
 	  kill -TERM $$(cat /tmp/watsd-chaos.pid) && wait $$(cat /tmp/watsd-chaos.pid)
 
-# scale-demo is the elastic-runtime acceptance run (DESIGN.md §10): the
-# same bursty open-loop load against a fixed 16-worker pool and an
-# autoscaled 2..16 pool, in-process over real HTTP. -check enforces the
-# gate — the autoscaler must hold steady-state p99 within 2x of the
-# peak-provisioned pool on at most 60% of its worker-seconds, grow and
-# shrink back to min, and lose zero jobs. The committed BENCH_elastic.json
-# is this run's artifact.
-scale-demo:
-	$(GO) run ./cmd/scaledemo -check -out /tmp/BENCH_elastic.json
-
 # twin-demo is the digital-twin acceptance run (DESIGN.md §11): watsd
 # serves a 3s open-loop run with the decision ledger streaming to
 # out/twin-capture.ndjson, then watstwin replays the capture under all
@@ -143,31 +151,6 @@ twin-demo:
 	cmp out/twin-report.first.json out/twin-report.json
 	grep -q '"best": "' out/twin-report.json
 	cp out/twin-report.json BENCH_twin.json
-
-# gate-demo is the cluster-routing acceptance run (DESIGN.md §13): three
-# in-process watsd nodes with different machine shapes behind one
-# watsgate, driven by a mixed-class open-loop load under each routing
-# policy. -check enforces the gates — the workload-aware weighted policy
-# must beat both round-robin and least-loaded on steady-state heavy-class
-# p99 by the configured margin, and the mid-run backend kill/restart must
-# lose zero acknowledged jobs while re-routing and then re-including the
-# recovered node. The committed BENCH_gate.json is this run's artifact.
-gate-demo:
-	$(GO) run ./cmd/gatedemo -check -out /tmp/BENCH_gate.json
-
-# gate-chaos-demo is the gray-failure acceptance run (DESIGN.md §14):
-# three identical in-process watsd nodes behind one watsgate, one node
-# turned gray mid-run by the deterministic netfault injector (240ms
-# added latency + dripped responses — readiness and self-reported
-# exec_ms stay clean). -check enforces the gates: the healthy window
-# pays no hedging tax, the degraded-window p99 with hedging + retry
-# budget + outlier ejection on is at most half the undefended p99, the
-# victim is ejected and probe-readmitted, retry volume stays within the
-# budget, no job is acknowledged twice (decision-ledger witness), and
-# the injected fault counts replay exactly from the seed. The committed
-# BENCH_chaos.json is this run's artifact.
-gate-chaos-demo:
-	$(GO) run ./cmd/gatechaos -check -out /tmp/BENCH_chaos.json
 
 # vulncheck needs network access to the vuln DB, so it is CI-only by
 # default; run it locally the same way when online.

@@ -175,6 +175,18 @@ func newLogger(format string) *slog.Logger {
 	return slog.New(h)
 }
 
+// How long a peer may hold a connection open without sending its request
+// headers, and how long a keep-alive connection may sit idle. Neither
+// bounds a running job or a wats-stream/1 connection.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	opts, err := parseOptions(flag.CommandLine, os.Args[1:])
 	if err != nil {
@@ -258,7 +270,7 @@ func main() {
 		handler = netfault.Middleware(handler, netInj)
 		logger.Info("network chaos armed", "spec", opts.netfault.String())
 	}
-	httpSrv := &http.Server{Addr: opts.listen, Handler: handler}
+	httpSrv := newHTTPServer(opts.listen, handler)
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 

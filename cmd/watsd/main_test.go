@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"time"
 )
 
 func parse(t *testing.T, args ...string) (*options, error) {
@@ -95,5 +96,15 @@ func TestParseOptionsAutoscale(t *testing.T) {
 	// min-workers below max but above groups: valid without autoscale too.
 	if _, err := parse(t, "-min-workers", "1"); err != nil {
 		t.Fatalf("non-autoscale min-workers=1 should parse: %v", err)
+	}
+}
+
+func TestHTTPServerIsBounded(t *testing.T) {
+	s := newHTTPServer("127.0.0.1:0", nil)
+	if s.ReadHeaderTimeout != 5*time.Second || s.IdleTimeout != 120*time.Second {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want 5s, 2m0s", s.ReadHeaderTimeout, s.IdleTimeout)
+	}
+	if s.ReadTimeout != 0 || s.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout %v, WriteTimeout %v would cut long jobs short", s.ReadTimeout, s.WriteTimeout)
 	}
 }

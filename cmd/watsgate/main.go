@@ -15,7 +15,7 @@
 //	curl localhost:8090/v1/gate/table
 //
 // Drive it with cmd/watsload exactly like a single watsd; benchmark the
-// policies against each other with cmd/gatedemo.
+// policies against each other with cmd/watsaccept -scenario gate.
 package main
 
 import (
@@ -197,6 +197,18 @@ func newLogger(format string) *slog.Logger {
 	return slog.New(h)
 }
 
+// How long a peer may hold a connection open without sending its request
+// headers, and how long a keep-alive connection may sit idle. Neither
+// bounds a request in flight to a backend.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	opts, err := parseOptions(flag.CommandLine, os.Args[1:])
 	if err != nil {
@@ -219,7 +231,7 @@ func main() {
 		logger.Info("network chaos armed on backend connections", "spec", opts.netfault.String())
 	}
 
-	httpSrv := &http.Server{Addr: opts.listen, Handler: g.Handler()}
+	httpSrv := newHTTPServer(opts.listen, g.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	logger.Info("serving", "listen", opts.listen)

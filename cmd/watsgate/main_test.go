@@ -108,3 +108,13 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+func TestHTTPServerIsBounded(t *testing.T) {
+	s := newHTTPServer("127.0.0.1:0", nil)
+	if s.ReadHeaderTimeout != 5*time.Second || s.IdleTimeout != 120*time.Second {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want 5s, 2m0s", s.ReadHeaderTimeout, s.IdleTimeout)
+	}
+	if s.ReadTimeout != 0 || s.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout %v, WriteTimeout %v would cut long jobs short", s.ReadTimeout, s.WriteTimeout)
+	}
+}

@@ -209,7 +209,8 @@ func (g *Gate) recordLat(class string, ms float64) {
 }
 
 // DefenseStats is a point-in-time copy of the gate-level defense
-// counters — what gatechaos gates its retry-budget check on.
+// counters — what the watsaccept chaos scenario gates its retry-budget
+// check on.
 type DefenseStats struct {
 	// Primaries counts first dispatches (the budget's denominator).
 	Primaries uint64 `json:"primaries"`

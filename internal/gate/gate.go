@@ -21,7 +21,7 @@
 //     and a recovering one re-enters through a half-open probe.
 //
 // Round-robin and least-loaded are kept as baseline policies; the
-// gatedemo acceptance benchmark measures the weighted scorer against
+// watsaccept gate scenario measures the weighted scorer against
 // both on skewed class mixes (BENCH_gate.json, DESIGN.md §13).
 //
 // Failure discipline mirrors PR 8's retry rules: transport errors, 429

@@ -2,7 +2,7 @@
 // three signals (learned class affinity, polled queue pressure, breaker
 // + readiness health) into one routing decision. The weighted scorer is
 // the paper's TC-table argmin lifted to a cluster; round-robin and
-// least-loaded are the baselines the gatedemo benchmark beats it
+// least-loaded are the baselines the watsaccept gate scenario beats it
 // against.
 package gate
 

@@ -18,10 +18,11 @@
 //     listeners.
 //
 // Faults can be confined to a time-boxed flap window ("flap=AFTER:DUR"),
-// which is how cmd/gatechaos makes a node gray-fail mid-run: the spec is
-// armed when load starts and the injector only assigns fault indices
-// while the window is open, so the planned schedule over indices
-// 0..Assigned(key) recomputes exactly from a fresh injector.
+// which is how the watsaccept chaos scenario makes a node gray-fail
+// mid-run: the spec is armed when load starts and the injector only
+// assigns fault indices while the window is open, so the planned
+// schedule over indices 0..Assigned(key) recomputes exactly from a
+// fresh injector.
 package netfault
 
 import (

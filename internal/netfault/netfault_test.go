@@ -95,7 +95,7 @@ func TestPlanDeterministic(t *testing.T) {
 
 // TestNextReplaysExactly: live Next() counts must equal a fresh
 // injector's pure Plan() replay over the assigned index range — the
-// exact-accounting property gatechaos gates on.
+// exact-accounting property the watsaccept chaos scenario gates on.
 func TestNextReplaysExactly(t *testing.T) {
 	spec, _ := ParseSpec("latency=0.4:1ms,drip=0.3:1ms:8,reset=0.05", 9)
 	live := New(spec)
