@@ -50,20 +50,23 @@ func GAAlphaMix(alpha int, t float64) ([]ClassSpec, error) {
 // GA returns the island-model Genetic Algorithm workload used for
 // Figs. 6, 7 and 9: islands of graded population sizes yield ten task
 // classes from heavy migration/crossover work down to cheap statistics.
-func GA(seed uint64) *Batch {
+func GA(seed uint64) *Batch { return ga(new(Batch), nil, seed) }
+
+func ga(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "GA", Seed: seed, Mix: []ClassSpec{
-		{Name: "ga_migrate", Count: 3, Work: 12 * t},
-		{Name: "ga_cross_l", Count: 3, Work: 9 * t},
-		{Name: "ga_cross_m", Count: 4, Work: 7 * t},
-		{Name: "ga_mut_l", Count: 5, Work: 5.5 * t},
-		{Name: "ga_mut_m", Count: 7, Work: 4 * t},
-		{Name: "ga_select", Count: 10, Work: 2.8 * t},
-		{Name: "ga_eval_l", Count: 13, Work: 2 * t},
-		{Name: "ga_eval_m", Count: 22, Work: 1.3 * t},
-		{Name: "ga_eval_s", Count: 28, Work: 0.9 * t},
-		{Name: "ga_stats", Count: 33, Work: 0.75 * t},
-	}}
+	*b = Batch{BenchName: "GA", Seed: seed, Mix: append(mix,
+		ClassSpec{Name: "ga_migrate", Count: 3, Work: 12 * t},
+		ClassSpec{Name: "ga_cross_l", Count: 3, Work: 9 * t},
+		ClassSpec{Name: "ga_cross_m", Count: 4, Work: 7 * t},
+		ClassSpec{Name: "ga_mut_l", Count: 5, Work: 5.5 * t},
+		ClassSpec{Name: "ga_mut_m", Count: 7, Work: 4 * t},
+		ClassSpec{Name: "ga_select", Count: 10, Work: 2.8 * t},
+		ClassSpec{Name: "ga_eval_l", Count: 13, Work: 2 * t},
+		ClassSpec{Name: "ga_eval_m", Count: 22, Work: 1.3 * t},
+		ClassSpec{Name: "ga_eval_s", Count: 28, Work: 0.9 * t},
+		ClassSpec{Name: "ga_stats", Count: 33, Work: 0.75 * t},
+	)}
+	return b
 }
 
 // GAAlpha returns the Fig. 8 workload for a specific α.
@@ -77,65 +80,80 @@ func GAAlpha(alpha int, seed uint64) (*Batch, error) {
 
 // BWT returns the Burrows-Wheeler Transform workload: suffix sorting of
 // large blocks dominates; move-to-front and run-length passes are light.
-func BWT(seed uint64) *Batch {
+func BWT(seed uint64) *Batch { return bwt(new(Batch), nil, seed) }
+
+func bwt(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "BWT", Seed: seed, Mix: []ClassSpec{
-		{Name: "bwt_sort", Count: 6, Work: 8 * t},
-		{Name: "bwt_sais", Count: 8, Work: 5 * t},
-		{Name: "bwt_mtf", Count: 14, Work: 3 * t},
-		{Name: "bwt_rle", Count: 50, Work: 1.2 * t},
-		{Name: "bwt_emit", Count: 50, Work: 0.6 * t},
-	}}
+	*b = Batch{BenchName: "BWT", Seed: seed, Mix: append(mix,
+		ClassSpec{Name: "bwt_sort", Count: 6, Work: 8 * t},
+		ClassSpec{Name: "bwt_sais", Count: 8, Work: 5 * t},
+		ClassSpec{Name: "bwt_mtf", Count: 14, Work: 3 * t},
+		ClassSpec{Name: "bwt_rle", Count: 50, Work: 1.2 * t},
+		ClassSpec{Name: "bwt_emit", Count: 50, Work: 0.6 * t},
+	)}
+	return b
 }
 
 // Bzip2 returns the Bzip2-like compression workload: expensive Huffman
 // table construction and block sorting, cheap RLE and CRC passes.
-func Bzip2(seed uint64) *Batch {
+func Bzip2(seed uint64) *Batch { return bzip2(new(Batch), nil, seed) }
+
+func bzip2(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "Bzip-2", Seed: seed, Mix: []ClassSpec{
-		{Name: "bz_huffman", Count: 6, Work: 10 * t},
-		{Name: "bz_sort", Count: 10, Work: 6 * t},
-		{Name: "bz_mtf", Count: 20, Work: 3 * t},
-		{Name: "bz_rle", Count: 40, Work: 1.2 * t},
-		{Name: "bz_crc", Count: 52, Work: 0.5 * t},
-	}}
+	*b = Batch{BenchName: "Bzip-2", Seed: seed, Mix: append(mix,
+		ClassSpec{Name: "bz_huffman", Count: 6, Work: 10 * t},
+		ClassSpec{Name: "bz_sort", Count: 10, Work: 6 * t},
+		ClassSpec{Name: "bz_mtf", Count: 20, Work: 3 * t},
+		ClassSpec{Name: "bz_rle", Count: 40, Work: 1.2 * t},
+		ClassSpec{Name: "bz_crc", Count: 52, Work: 0.5 * t},
+	)}
+	return b
 }
 
 // DMC returns the Dynamic Markov Coding workload.
-func DMC(seed uint64) *Batch {
+func DMC(seed uint64) *Batch { return dmc(new(Batch), nil, seed) }
+
+func dmc(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "DMC", Seed: seed, Mix: []ClassSpec{
-		{Name: "dmc_model", Count: 8, Work: 6 * t},
-		{Name: "dmc_tree", Count: 12, Work: 4 * t},
-		{Name: "dmc_encode", Count: 28, Work: 2 * t},
-		{Name: "dmc_predict", Count: 36, Work: 1 * t},
-		{Name: "dmc_flush", Count: 44, Work: 0.4 * t},
-	}}
+	*b = Batch{BenchName: "DMC", Seed: seed, Mix: append(mix,
+		ClassSpec{Name: "dmc_model", Count: 8, Work: 6 * t},
+		ClassSpec{Name: "dmc_tree", Count: 12, Work: 4 * t},
+		ClassSpec{Name: "dmc_encode", Count: 28, Work: 2 * t},
+		ClassSpec{Name: "dmc_predict", Count: 36, Work: 1 * t},
+		ClassSpec{Name: "dmc_flush", Count: 44, Work: 0.4 * t},
+	)}
+	return b
 }
 
 // LZW returns the Lempel-Ziv-Welch workload.
-func LZW(seed uint64) *Batch {
+func LZW(seed uint64) *Batch { return lzw(new(Batch), nil, seed) }
+
+func lzw(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "LZW", Seed: seed, Mix: []ClassSpec{
-		{Name: "lzw_dict", Count: 6, Work: 9 * t},
-		{Name: "lzw_block", Count: 10, Work: 5 * t},
-		{Name: "lzw_encode", Count: 24, Work: 2.5 * t},
-		{Name: "lzw_probe", Count: 40, Work: 1 * t},
-		{Name: "lzw_emit", Count: 48, Work: 0.5 * t},
-	}}
+	*b = Batch{BenchName: "LZW", Seed: seed, Mix: append(mix,
+		ClassSpec{Name: "lzw_dict", Count: 6, Work: 9 * t},
+		ClassSpec{Name: "lzw_block", Count: 10, Work: 5 * t},
+		ClassSpec{Name: "lzw_encode", Count: 24, Work: 2.5 * t},
+		ClassSpec{Name: "lzw_probe", Count: 40, Work: 1 * t},
+		ClassSpec{Name: "lzw_emit", Count: 48, Work: 0.5 * t},
+	)}
+	return b
 }
 
 // MD5 returns the Message Digest workload: message lengths are heavy-
 // tailed, so per-task costs span a 30× range.
-func MD5(seed uint64) *Batch {
+func MD5(seed uint64) *Batch { return md5(new(Batch), nil, seed) }
+
+func md5(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "MD5", Seed: seed, Mix: []ClassSpec{
-		{Name: "md5_huge", Count: 4, Work: 12 * t},
-		{Name: "md5_large", Count: 8, Work: 6 * t},
-		{Name: "md5_medium", Count: 24, Work: 2.5 * t},
-		{Name: "md5_small", Count: 44, Work: 1 * t},
-		{Name: "md5_tiny", Count: 48, Work: 0.4 * t},
-	}}
+	*b = Batch{BenchName: "MD5", Seed: seed, Mix: append(mix,
+		ClassSpec{Name: "md5_huge", Count: 4, Work: 12 * t},
+		ClassSpec{Name: "md5_large", Count: 8, Work: 6 * t},
+		ClassSpec{Name: "md5_medium", Count: 24, Work: 2.5 * t},
+		ClassSpec{Name: "md5_small", Count: 44, Work: 1 * t},
+		ClassSpec{Name: "md5_tiny", Count: 48, Work: 0.4 * t},
+	)}
+	return b
 }
 
 // SHA1 returns the SHA-1 workload, the most size-skewed benchmark (WATS's
@@ -145,14 +163,17 @@ func MD5(seed uint64) *Batch {
 // on 0.8 GHz cores every batch; WATS pins them to the fast c-groups, and
 // the class-weight ladder (26/19/13/42%) tracks the c-group capacity
 // shares of the Table II architectures.
-func SHA1(seed uint64) *Batch {
+func SHA1(seed uint64) *Batch { return sha1(new(Batch), nil, seed) }
+
+func sha1(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "SHA-1", Seed: seed, Order: OrderLightFirst, Mix: []ClassSpec{
-		{Name: "sha_iso", Count: 4, Work: 8 * t},
-		{Name: "sha_tar", Count: 3, Work: 8 * t},
-		{Name: "sha_file", Count: 8, Work: 2 * t},
-		{Name: "sha_chunk", Count: 113, Work: 0.46 * t},
-	}}
+	*b = Batch{BenchName: "SHA-1", Seed: seed, Order: OrderLightFirst, Mix: append(mix,
+		ClassSpec{Name: "sha_iso", Count: 4, Work: 8 * t},
+		ClassSpec{Name: "sha_tar", Count: 3, Work: 8 * t},
+		ClassSpec{Name: "sha_file", Count: 8, Work: 2 * t},
+		ClassSpec{Name: "sha_chunk", Count: 113, Work: 0.46 * t},
+	)}
+	return b
 }
 
 // Dedup returns the PARSEC Dedup workload at chunk-task granularity: each
@@ -163,44 +184,97 @@ func SHA1(seed uint64) *Batch {
 // and reorder stages ride in the root task, which the runtime schedules
 // on the fastest core (§IV-E). The per-class cost spread is what random
 // stealing mishandles on AMC.
-func Dedup(seed uint64) *Batch {
+func Dedup(seed uint64) *Batch { return dedup(new(Batch), nil, seed) }
+
+func dedup(b *Batch, mix []ClassSpec, seed uint64) *Batch {
 	t := BaseT
-	return &Batch{BenchName: "Dedup", Seed: seed, Noise: 0.25, Mix: []ClassSpec{
-		{Name: "dedup_unique_l", Count: 8, Work: 8 * t},
-		{Name: "dedup_unique_m", Count: 10, Work: 4.5 * t},
-		{Name: "dedup_unique_s", Count: 14, Work: 2.5 * t},
-		{Name: "dedup_dup", Count: 80, Work: 1.2 * t},
-		{Name: "dedup_frag", Count: 16, Work: 0.55 * t},
-	}}
+	*b = Batch{BenchName: "Dedup", Seed: seed, Noise: 0.25, Mix: append(mix,
+		ClassSpec{Name: "dedup_unique_l", Count: 8, Work: 8 * t},
+		ClassSpec{Name: "dedup_unique_m", Count: 10, Work: 4.5 * t},
+		ClassSpec{Name: "dedup_unique_s", Count: 14, Work: 2.5 * t},
+		ClassSpec{Name: "dedup_dup", Count: 80, Work: 1.2 * t},
+		ClassSpec{Name: "dedup_frag", Count: 16, Work: 0.55 * t},
+	)}
+	return b
 }
 
 // Ferret returns the PARSEC Ferret similarity-search pipeline. Its tasks
 // "have similar workloads", so WATS's allocation is neutral and only its
 // bookkeeping overhead shows (Fig. 6a: ≤4.7% slowdown worst case).
-func Ferret(seed uint64) *Pipeline {
+func Ferret(seed uint64) *Pipeline { return ferret(new(Pipeline), nil, seed) }
+
+func ferret(p *Pipeline, stages []StageSpec, seed uint64) *Pipeline {
 	t := BaseT
-	return &Pipeline{
+	*p = Pipeline{
 		BenchName: "Ferret",
 		Seed:      seed,
 		SizeCV:    0.03,
 		WaveItems: 64,
 		Waves:     8,
-		Stages: []StageSpec{
-			{Name: "ferret_segment", Work: 1.5 * t},
-			{Name: "ferret_extract", Work: 1.6 * t},
-			{Name: "ferret_index", Work: 1.4 * t},
-			{Name: "ferret_rank", Work: 1.5 * t},
-		},
+		Stages: append(stages,
+			StageSpec{Name: "ferret_segment", Work: 1.5 * t},
+			StageSpec{Name: "ferret_extract", Work: 1.6 * t},
+			StageSpec{Name: "ferret_index", Work: 1.4 * t},
+			StageSpec{Name: "ferret_rank", Work: 1.5 * t},
+		),
 	}
+	return p
 }
 
-// Benchmarks returns the nine Table III workloads in the paper's figure
-// order (BWT, Bzip-2, Dedup, DMC, Ferret, GA, LZW, MD5, SHA-1).
-func Benchmarks(seed uint64) []sim.Workload {
-	return []sim.Workload{
-		BWT(seed), Bzip2(seed), Dedup(seed), DMC(seed), Ferret(seed),
-		GA(seed), LZW(seed), MD5(seed), SHA1(seed),
+// benchSlab is the storage of one Benchmarks call: the nine workloads,
+// their class mixes and the returned slice share one allocation. A grid
+// builds fresh workloads for every simulated run, so their construction
+// is on the measured path of every experiment.
+type benchSlab struct {
+	batches [8]Batch // figure order, without Ferret
+	ferret  Pipeline
+	specs   [44]ClassSpec // the batches' mixes, back to back in the same order
+	stages  [4]StageSpec
+	all     [9]sim.Workload
+}
+
+// tableIII is the slab every Benchmarks call starts from as a copy: the
+// constructors above run once here, so their literals stay the only
+// statement of the Table III mixes. Never handed out, never started.
+var tableIII = func() *benchSlab {
+	s := new(benchSlab)
+	mix := s.specs[:0]
+	for i, build := range [...]func(*Batch, []ClassSpec, uint64) *Batch{bwt, bzip2, dedup, dmc, ga, lzw, md5, sha1} {
+		mix = build(&s.batches[i], mix[len(mix):], 0).Mix
 	}
+	// A mix that outgrew its room was reallocated off the slab by append,
+	// and so was every mix after it.
+	if &mix[len(mix)-1] != &s.specs[len(s.specs)-1] {
+		panic("workload: the Table III mixes no longer fill benchSlab.specs exactly")
+	}
+	ferret(&s.ferret, s.stages[:0], 0)
+	return s
+}()
+
+// Benchmarks returns the nine Table III workloads in the paper's figure
+// order (BWT, Bzip-2, Dedup, DMC, Ferret, GA, LZW, MD5, SHA-1). Every call
+// returns fresh state: no memory is shared between two calls' workloads.
+func Benchmarks(seed uint64) []sim.Workload {
+	s := new(benchSlab)
+	*s = *tableIII
+	// The copy still points into tableIII: give each workload its window
+	// of this slab's specs, capped so that an append to one Mix
+	// reallocates instead of overwriting the next workload's classes.
+	off := 0
+	for i := range s.batches {
+		b := &s.batches[i]
+		end := off + len(b.Mix)
+		b.Mix, b.Seed = s.specs[off:end:end], seed
+		off = end
+		if i < 4 {
+			s.all[i] = b
+		} else {
+			s.all[i+1] = b // Ferret is fifth in figure order
+		}
+	}
+	s.ferret.Stages, s.ferret.Seed = s.stages[:], seed
+	s.all[4] = &s.ferret
+	return s.all[:]
 }
 
 // BenchmarkNames lists the Table III benchmark names in figure order.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wats/internal/amc"
@@ -248,6 +249,44 @@ func TestBenchmarksList(t *testing.T) {
 		if w.Name() != BenchmarkNames[i] {
 			t.Fatalf("order mismatch: %s vs %s", w.Name(), BenchmarkNames[i])
 		}
+	}
+}
+
+// Benchmarks builds its workloads in one slab; each must still equal what
+// its own constructor builds, and own its Mix: OnBatchStart may rewrite or
+// grow one, which must reach neither a second call's workloads nor the
+// neighbouring workload of the same call.
+func TestBenchmarksOwnTheirMixes(t *testing.T) {
+	a, b := Benchmarks(7), Benchmarks(7)
+	for i, w := range a {
+		ab, ok := w.(*Batch)
+		if !ok {
+			continue
+		}
+		want := ByName(BenchmarkNames[i], 7).(*Batch)
+		if ab.BenchName != want.BenchName || ab.Seed != 7 || ab.Noise != want.Noise || ab.Order != want.Order || !slices.Equal(ab.Mix, want.Mix) {
+			t.Fatalf("%s from Benchmarks differs from its constructor:\n%+v\n%+v", want.BenchName, ab, want)
+		}
+		bb := b[i].(*Batch)
+		if &ab.Mix[0] == &bb.Mix[0] {
+			t.Fatalf("%s: two Benchmarks calls share Mix backing memory", ab.BenchName)
+		}
+		ab.Mix[0].Count = -1
+		ab.Mix = append(ab.Mix, ClassSpec{Name: "extra", Count: 1, Work: 1})
+	}
+	for i, w := range Benchmarks(7) {
+		if fresh, ok := w.(*Batch); ok {
+			if !slices.Equal(b[i].(*Batch).Mix, fresh.Mix) {
+				t.Fatalf("%s: mutating one call's Mix changed another's", fresh.BenchName)
+			}
+			if ab := a[i].(*Batch); !slices.Equal(ab.Mix[1:len(ab.Mix)-1], fresh.Mix[1:]) {
+				t.Fatalf("%s: an append to a neighbour's Mix overwrote this one", fresh.BenchName)
+			}
+		}
+	}
+	af, bf := a[4].(*Pipeline), b[4].(*Pipeline)
+	if &af.Stages[0] == &bf.Stages[0] || !slices.Equal(af.Stages, Ferret(7).Stages) {
+		t.Fatal("Ferret stages shared between calls or different from the constructor's")
 	}
 }
 
