@@ -171,7 +171,9 @@ func ParseHello(p []byte) ([]HelloEntry, error) {
 	}
 	n := int(binary.BigEndian.Uint16(p))
 	p = p[2:]
-	entries := make([]HelloEntry, 0, n)
+	// An entry is at least 3 bytes, so the payload bounds what the count
+	// may reserve: 3 hostile bytes must not buy 65,535 entries.
+	entries := make([]HelloEntry, 0, min(n, len(p)/3))
 	for i := 0; i < n; i++ {
 		if len(p) < 2 {
 			return nil, fmt.Errorf("wire: hello truncated at entry %d", i)

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -172,6 +173,21 @@ func TestReadFrameRefusesLengthBeforeAllocating(t *testing.T) {
 	}
 }
 
+// A hello's entry count is a claim, not a reservation: the table is
+// sized by what the payload can hold.
+func TestParseHelloSizesByPayload(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	entries, err := ParseHello([]byte{0xff, 0xff, 0})
+	runtime.ReadMemStats(&after)
+	if err == nil || entries != nil {
+		t.Fatalf("3-byte hello claiming 65535 entries: %d entries, err %v", len(entries), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 512 {
+		t.Errorf("refusing a 3-byte hello allocated %d bytes", got)
+	}
+}
+
 // FuzzParse feeds arbitrary payloads to the three parsers. None may
 // panic, and whatever one accepts must encode back to the bytes it was
 // parsed from (a hello ignores what follows its declared entries).
@@ -181,6 +197,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(frame[4 : len(frame)-1])
 	}
 	f.Add([]byte{FrameHello, 0xff, 0xff, 0, 200})
+	f.Add([]byte{FrameHello, 0xff, 0xff, 0})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if len(payload) == 0 {
 			return
