@@ -38,12 +38,14 @@ bench-sched:
 bench-sim:
 	$(GO) test -run xxx -bench 'SimGrid|SimulatorThroughput|Reorganize' -benchmem .
 
-# bench-serve is the admission-path allocation gate (DESIGN.md §12): the
-# TestZeroAlloc* tests fail the build if a steady-state unary or batch
-# admission allocates at all, and the benchmarks print the ns/op +
-# allocs/op table the design doc quotes.
+# bench-serve is the serving-path allocation gate (DESIGN.md §12, §13):
+# the TestZeroAlloc* tests fail the build if a steady-state unary or batch
+# admission allocates at all, TestUnaryHopAllocBudget if one whole unary
+# job, direct or via the gate, allocates more than its ceiling, and the
+# benchmarks print the ns/op + allocs/op table the design doc quotes.
 bench-serve:
 	$(GO) test -run 'TestZeroAlloc' -count=1 -v ./internal/server/
+	$(GO) test -run 'TestUnaryHopAllocBudget' -count=1 -v ./internal/gate/
 	$(GO) test -run xxx -bench 'BenchmarkUnaryAdmission|BenchmarkBatchAdmission16' -benchmem ./internal/server/
 
 # bench-stack is the repository benchmark (BENCHMARK.json, bench/README.md):

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"wats/internal/rng"
+	"wats/internal/wire"
 )
 
 // Config configures a Client. The zero value of every field has a sane
@@ -120,6 +121,9 @@ type Client struct {
 	cfg Config
 	hc  *http.Client
 	br  *breaker
+	// jobsReq is the POST /v1/jobs request every submission attempt
+	// copies (see newRequest); nil when BaseURL does not parse.
+	jobsReq *http.Request
 
 	jmu    sync.Mutex
 	jitter *rng.Source
@@ -155,13 +159,24 @@ func New(cfg Config) (*Client, error) {
 	if hc == nil {
 		hc = &http.Client{Transport: DefaultTransport()}
 	}
-	return &Client{
+	c := &Client{
 		cfg:    cfg,
 		hc:     hc,
 		br:     newBreaker(cfg.Breaker),
 		jitter: rng.New(cfg.Seed),
-	}, nil
+	}
+	// A BaseURL that does not parse is reported by the attempt that
+	// needs it, as it always was.
+	if req, err := http.NewRequest(http.MethodPost, cfg.BaseURL+jobsPath, nil); err == nil {
+		req.Header.Set("Content-Type", "application/json")
+		c.jobsReq = req
+	}
+	return c, nil
 }
+
+// jobsPath is the submission endpoint, the one request a client sends
+// at job rate.
+const jobsPath = "/v1/jobs"
 
 // DefaultTransport returns the tuned transport New installs when
 // Config.HTTPClient is nil. Explicit connection-reuse tuning: the
@@ -182,6 +197,7 @@ func DefaultTransport() *http.Transport {
 		MaxIdleConnsPerHost: 512,
 		IdleConnTimeout:     90 * time.Second,
 		DisableKeepAlives:   false,
+		DisableCompression:  true,
 		WriteBufferSize:     64 << 10,
 		ReadBufferSize:      64 << 10,
 	}
@@ -221,7 +237,7 @@ func (c *Client) Stats() Stats {
 // non-nil only when no HTTP outcome was reached (breaker open, context
 // done, or every attempt failed in transport).
 func (c *Client) SubmitJob(ctx context.Context, body []byte) (Result, error) {
-	return c.Do(ctx, http.MethodPost, "/v1/jobs", body)
+	return c.Do(ctx, http.MethodPost, jobsPath, body)
 }
 
 // Do performs one request with retries, backoff and the breaker.
@@ -279,14 +295,15 @@ type attemptOut struct {
 // routing trailer headers when the target is a gate.
 func (c *Client) attempt(ctx context.Context, method, path string, body []byte) (attemptOut, error) {
 	var out attemptOut
-	actx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, method, c.cfg.BaseURL+path, bytes.NewReader(body))
+	// A caller's deadline that falls sooner already bounds the attempt.
+	if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > c.cfg.RequestTimeout {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.cfg.RequestTimeout)
+		defer cancel()
+	}
+	req, err := c.newRequest(ctx, method, path, body)
 	if err != nil {
 		return out, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -294,7 +311,13 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 	}
 	defer resp.Body.Close()
 	out.status = resp.StatusCode
-	out.body, _ = io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	// net/http holds a body to its declared length; one that declares
+	// none, or too much, is cut at the cap here.
+	var rd io.Reader = resp.Body
+	if resp.ContentLength < 0 || resp.ContentLength > wire.MaxBody {
+		rd = io.LimitReader(rd, wire.MaxBody)
+	}
+	out.body, _ = wire.ReadBody(nil, rd, resp.ContentLength)
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if d, ok := parseRetryAfter(ra, time.Now()); ok {
 			out.retryAfter = d
@@ -308,6 +331,35 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte) 
 	}
 	out.gateHedged = resp.Header.Get("X-Watsgate-Hedged") != ""
 	return out, nil
+}
+
+// newRequest builds one attempt's request. A job submission is a shallow
+// copy of the client's template, so its URL is parsed and its header
+// built once per client rather than once per attempt; the copy shares
+// both with every other attempt, which is sound because a RoundTripper
+// may not modify the request it is given.
+func (c *Client) newRequest(ctx context.Context, method, path string, body []byte) (*http.Request, error) {
+	var req *http.Request
+	if c.jobsReq != nil && method == http.MethodPost && path == jobsPath {
+		req = c.jobsReq.WithContext(ctx)
+	} else {
+		var err error
+		if req, err = http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, nil); err != nil {
+			return nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+	}
+	if len(body) > 0 {
+		// What http.NewRequest does for a *bytes.Reader: a body the
+		// transport knows is in memory (so it sends headers and body in
+		// one write) and can rewind to retry on a stale connection.
+		req.ContentLength = int64(len(body))
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	}
+	return req, nil
 }
 
 // parseRetryAfter interprets a Retry-After header value per RFC 9110

@@ -1,0 +1,89 @@
+package gate
+
+import (
+	"context"
+	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wats/internal/wire"
+)
+
+// A caller that goes away takes its attempt with it: the attempt's
+// context does not hang off the request's, so the dispatch loop passes
+// the cancellation on by hand, and no hedge is launched afterwards.
+func TestCallerGoneCancelsAttempt(t *testing.T) {
+	var started, cancelled, finished atomic.Int64
+	slow := newFake(t)
+	slow.jobs = func(w http.ResponseWriter, r *http.Request) {
+		started.Add(1)
+		io.Copy(io.Discard, r.Body) // net/http watches for a vanished caller only past the body
+		select {
+		case <-time.After(3 * time.Second):
+			finished.Add(1)
+		case <-r.Context().Done():
+			cancelled.Add(1)
+		}
+	}
+	other := newFake(t)
+	other.jobs = slow.jobs
+	_, ts := newGateTS(t, Config{
+		Backends: []BackendConf{{Name: "a", URL: slow.ts.URL}, {Name: "b", URL: other.ts.URL}},
+		Hedge:    HedgeConfig{Enabled: true, MinDelay: 150 * time.Millisecond, MaxDelay: 150 * time.Millisecond},
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs", strings.NewReader(`{"workload":"w"}`))
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("submission outlived its 30 ms context: HTTP %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for cancelled.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(200 * time.Millisecond) // past the hedge delay
+	if started.Load() != 1 || cancelled.Load() != 1 || finished.Load() != 0 {
+		t.Fatalf("backend attempts: %d started, %d cancelled, %d ran on — want 1, 1, 0", started.Load(), cancelled.Load(), finished.Load())
+	}
+}
+
+// The gate reads a body once, bounded, and forwards what it read
+// verbatim — parseable or not — routing on what the backend's own
+// decoder will make of it.
+func TestGateBodyHandling(t *testing.T) {
+	var got atomic.Value
+	b := newFake(t)
+	b.jobs = func(w http.ResponseWriter, r *http.Request) {
+		raw, _ := io.ReadAll(r.Body)
+		got.Store(string(raw))
+		w.WriteHeader(http.StatusBadRequest)
+		w.Write([]byte(`{"error":"backend says no"}`))
+	}
+	g, ts := newGateTS(t, Config{Backends: []BackendConf{{Name: "a", URL: b.ts.URL}}})
+	g.classMu.Lock()
+	g.classOf = map[string]string{"heavy": "heavy-class"}
+	g.classMu.Unlock()
+
+	for _, body := range []string{`{"workload":"heavy"`, `{"Workload":"heavy"} trailing`, `not json`} {
+		resp, answer := postJSON(t, ts.URL+"/v1/jobs", body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(answer), "backend says no") || got.Load() != body {
+			t.Errorf("%q: HTTP %d %s, backend saw %q — want the backend's 400 for the same bytes", body, resp.StatusCode, answer, got.Load())
+		}
+	}
+	// Routed by class: once with nothing decoded, once as the backend
+	// would decode it (case-folded key, trailing bytes ignored), once as
+	// garbage.
+	if snap := g.Snapshot()[0]; snap.RoutedByClass["heavy-class"] != 1 || snap.Routed != 3 {
+		t.Errorf("routed by class %v, want heavy-class 1 of 3", snap.RoutedByClass)
+	}
+
+	got.Store("")
+	resp, answer := postJSON(t, ts.URL+"/v1/jobs", `{"workload":"`+strings.Repeat("x", wire.MaxBody)+`"}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(answer), "too large") || got.Load() != "" {
+		t.Errorf("oversized body: HTTP %d %s, backend saw %d bytes — want 413 and nothing forwarded", resp.StatusCode, answer, len(got.Load().(string)))
+	}
+}

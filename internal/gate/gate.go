@@ -210,6 +210,9 @@ func New(cfg Config) (*Gate, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = len(cfg.Backends)
 	}
+	if cfg.RequestTimeout <= 0 {
+		cfg.RequestTimeout = 30 * time.Second
+	}
 	if cfg.Policy.Kind == "" {
 		cfg.Policy = Policy{Kind: PolicyWeighted, Weights: DefaultScorers()}
 	}
@@ -481,13 +484,13 @@ func (g *Gate) pollOnce(b *backend) {
 // classFor resolves a workload name to its task class; unknown names
 // map to themselves (every builtin's class equals its name, and a
 // stable wrong key still learns a consistent table).
-func (g *Gate) classFor(workload string) string {
+func (g *Gate) classFor(workload []byte) string {
 	g.classMu.RLock()
 	defer g.classMu.RUnlock()
-	if c, ok := g.classOf[workload]; ok {
+	if c, ok := g.classOf[string(workload)]; ok {
 		return c
 	}
-	return workload
+	return string(workload)
 }
 
 // observe folds one backend-reported exec latency into the cluster TC

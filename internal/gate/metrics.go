@@ -64,7 +64,10 @@ func outcomeFor(status int) int {
 
 // countRouted bumps the backend's per-class routed counter.
 func (b *backend) countRouted(class string) {
-	v, _ := b.routedByClass.LoadOrStore(class, new(atomic.Uint64))
+	v, ok := b.routedByClass.Load(class)
+	if !ok {
+		v, _ = b.routedByClass.LoadOrStore(class, new(atomic.Uint64))
+	}
 	v.(*atomic.Uint64).Add(1)
 }
 

@@ -15,17 +15,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"wats/internal/client"
+	"wats/internal/wire"
 )
-
-// maxBodyBytes bounds one proxied request body (matches the client's
-// response cap).
-const maxBodyBytes = 1 << 20
 
 // Handler returns the gate's HTTP mux.
 func (g *Gate) Handler() http.Handler {
@@ -71,6 +69,22 @@ const (
 	HeaderHedged   = "X-Watsgate-Hedged"
 )
 
+// Header values every unary answer carries, shared by all of them:
+// net/http only reads a response header's value slice.
+var (
+	contentTypeJSON = []string{"application/json"}
+	oneAttempt      = []string{"1"}
+)
+
+// setAttempts stamps HeaderAttempts.
+func setAttempts(h http.Header, launched int) {
+	if launched == 1 {
+		h[HeaderAttempts] = oneAttempt
+		return
+	}
+	h.Set(HeaderAttempts, strconv.Itoa(launched))
+}
+
 // attemptResult is one backend attempt's outcome as seen by the hedged
 // dispatch loop.
 type attemptResult struct {
@@ -102,30 +116,41 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	// The gate reads the caller's bytes once, bounded, and forwards them
+	// verbatim to every attempt; it decodes them only to route. A
+	// malformed body is still proxied, so the backend's own validation
+	// error passes through.
+	body, err := wire.ReadBody(nil, wire.Bounded(w, r), r.ContentLength)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "read body: %v", err)
+		code := http.StatusBadRequest
+		if wire.TooLarge(err) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "read body: %v", err)
 		return
 	}
-	// Peek only what routing needs; a malformed body still gets proxied
-	// so the backend's own validation error passes through verbatim.
-	var peek struct {
-		Workload string `json:"workload"`
-		Async    bool   `json:"async"`
-	}
-	_ = json.Unmarshal(body, &peek)
-	class := g.classFor(peek.Workload)
+	req, _ := wire.DecodeJob(body)
+	class := g.classFor(req.Workload)
 
-	tried := make(map[*backend]bool, len(g.backends))
+	var triedArr [stackBackends]bool
+	tried := triedArr[:]
+	if len(g.backends) > len(tried) {
+		tried = make([]bool, len(g.backends))
+	}
 	outc := make(chan attemptResult, g.cfg.MaxAttempts+1)
 	cancels := make([]context.CancelFunc, 0, 2)
 	launched := 0
 	launch := func(b *backend, hedge bool) {
-		tried[b] = true
+		tried[slices.Index(g.backends, b)] = true
 		launched++
 		b.countRouted(class)
 		b.inflight.Add(1)
-		actx, cancel := context.WithCancel(r.Context())
+		// One context per attempt: the gate cancels it when the attempt
+		// loses the race or the caller goes away (the loop below watches
+		// for that itself, which is cheaper than hanging every attempt
+		// off the request's context), and it carries the attempt's time
+		// limit, which the backend client then need not derive again.
+		actx, cancel := context.WithTimeout(context.Background(), g.cfg.RequestTimeout)
 		cancels = append(cancels, cancel)
 		go func() {
 			t0 := time.Now()
@@ -133,13 +158,13 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			b.inflight.Add(-1)
 			outc <- attemptResult{
 				b: b, res: res, err: err, rtt: time.Since(t0),
-				cancelled: err != nil && actx.Err() != nil && r.Context().Err() == nil,
+				cancelled: err != nil && actx.Err() == context.Canceled && r.Context().Err() == nil,
 				hedge:     hedge,
 			}
 		}()
 	}
 
-	primary := g.pick(class, tried)
+	primary := g.pickUntried(class, tried)
 	if primary == nil {
 		httpError(w, http.StatusBadGateway, "no backend reachable after %d attempts", g.cfg.MaxAttempts)
 		return
@@ -151,7 +176,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// admission that cannot be recalled, so a hedged async pair could
 	// both execute.
 	var hedgeC <-chan time.Time
-	if g.cfg.Hedge.Enabled && !peek.Async && g.cfg.MaxAttempts > 1 {
+	if g.cfg.Hedge.Enabled && !req.Async && g.cfg.MaxAttempts > 1 {
 		ht := time.NewTimer(g.hedgeDelay(class))
 		defer ht.Stop()
 		hedgeC = ht.C
@@ -161,14 +186,20 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var last client.Result
 	haveLast := false
 	pending := 1
+	callerGone := r.Context().Done()
 	for pending > 0 {
 		select {
+		case <-callerGone:
+			callerGone, hedgeC = nil, nil
+			for _, c := range cancels {
+				c()
+			}
 		case <-hedgeC:
 			hedgeC = nil
 			if launched >= g.cfg.MaxAttempts {
 				continue
 			}
-			b := g.pick(class, tried)
+			b := g.pickUntried(class, tried)
 			if b == nil || !g.takeRetry(true) {
 				continue
 			}
@@ -195,7 +226,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 				if pending == 0 && launched < g.cfg.MaxAttempts {
-					if b := g.pick(class, tried); b != nil && g.takeRetry(false) {
+					if b := g.pickUntried(class, tried); b != nil && g.takeRetry(false) {
 						launch(b, false)
 						pending++
 					}
@@ -208,7 +239,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				last, haveLast = o.res, true
 				o.b.reroutes.Add(1)
 				if pending == 0 && launched < g.cfg.MaxAttempts {
-					if b := g.pick(class, tried); b != nil && g.takeRetry(false) {
+					if b := g.pickUntried(class, tried); b != nil && g.takeRetry(false) {
 						launch(b, false)
 						pending++
 					}
@@ -226,18 +257,18 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if pending > 0 {
 				go g.drainLosers(outc, pending, class)
 			}
-			w.Header().Set(HeaderAttempts, strconv.Itoa(launched))
+			setAttempts(w.Header(), launched)
 			if hedged {
 				w.Header().Set(HeaderHedged, "1")
 			}
-			g.finishUnary(w, o.b, class, peek.Async, o.res)
+			g.finishUnary(w, o.b, class, req.Async, o.res)
 			return
 		}
 	}
 	for _, c := range cancels {
 		c()
 	}
-	w.Header().Set(HeaderAttempts, strconv.Itoa(launched))
+	setAttempts(w.Header(), launched)
 	if haveLast {
 		// Every route shed or was draining: pass the last server answer
 		// (and its backoff hint) through to the caller.
@@ -285,11 +316,8 @@ func (g *Gate) observeAttempt(b *backend, class string, rtt time.Duration) {
 func (g *Gate) finishUnary(w http.ResponseWriter, b *backend, class string, async bool, res client.Result) {
 	body := res.Body
 	if res.StatusCode == http.StatusOK {
-		var out struct {
-			ExecMS float64 `json:"exec_ms"`
-		}
-		if json.Unmarshal(body, &out) == nil {
-			b.observe(class, out.ExecMS, g.cfg.Alpha)
+		if execMS, ok := wire.PeekExecMS(body); ok {
+			b.observe(class, execMS, g.cfg.Alpha)
 		}
 	}
 	if async && res.StatusCode == http.StatusAccepted {
@@ -297,7 +325,7 @@ func (g *Gate) finishUnary(w http.ResponseWriter, b *backend, class string, asyn
 			body = rw
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(res.StatusCode)
 	_, _ = w.Write(body)
 }
@@ -393,7 +421,7 @@ func (g *Gate) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, wire.MaxBody)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -409,7 +437,7 @@ func (g *Gate) handleBatch(w http.ResponseWriter, r *http.Request) {
 		_ = json.Unmarshal(raw, &peek)
 		items[i] = gbItem{
 			raw:   raw,
-			class: g.classFor(peek.Workload),
+			class: g.classFor([]byte(peek.Workload)),
 			tried: make(map[*backend]bool, 2),
 		}
 	}

@@ -8,6 +8,7 @@ package gate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,11 +119,31 @@ func ParseScorers(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// pick chooses the backend for one job of the given class, excluding
-// indices in tried (the per-item re-route set). Unroutable backends
-// (not ready, or breaker hard-open) and ejected ones are excluded too —
-// unless that excludes everyone untried, in which case the policy falls
-// back through ejected backends first and then to any untried backend:
+// stackBackends is the cluster size up to which one pick's scratch
+// (tried flags, eligible set, TC values) stays on the stack.
+const stackBackends = 8
+
+// pick is pickUntried for a tried set keyed by backend, as the batch
+// path keeps one per item.
+func (g *Gate) pick(class string, tried map[*backend]bool) *backend {
+	var arr [stackBackends]bool
+	mask := arr[:]
+	if len(g.backends) > len(mask) {
+		mask = make([]bool, len(g.backends))
+	}
+	for i, b := range g.backends {
+		mask[i] = tried[b]
+	}
+	return g.pickUntried(class, mask)
+}
+
+// pickUntried chooses the backend for one job of the given class,
+// excluding those whose position in g.backends is flagged in tried (the
+// job's re-route set; a slice so that a caller can keep it on its
+// stack). Unroutable backends (not ready, or breaker hard-open) and
+// ejected ones are excluded too — unless that excludes everyone untried,
+// in which case the policy falls back through ejected backends first
+// and then to any untried backend:
 // when the whole cluster looks dead, someone has to carry the probe
 // that discovers recovery. Returns nil when every backend has been
 // tried.
@@ -133,30 +154,31 @@ func ParseScorers(s string) (map[string]float64, error) {
 // backend can never win a score-based pick, so without this it would be
 // starved of the very traffic that could prove its recovery. Hedging
 // (when enabled) protects the probe's caller from a still-slow answer.
-func (g *Gate) pick(class string, tried map[*backend]bool) *backend {
-	if g.cfg.Eject.Enabled && len(tried) == 0 {
+func (g *Gate) pickUntried(class string, tried []bool) *backend {
+	if g.cfg.Eject.Enabled && !slices.Contains(tried, true) {
 		for _, b := range g.backends {
 			if b.ejected.Load() && b.routable() && b.grantProbe(g.cfg.Eject.Probe) {
 				return b
 			}
 		}
 	}
-	elig := make([]*backend, 0, len(g.backends))
-	for _, b := range g.backends {
-		if !tried[b] && b.routable() && !b.ejected.Load() {
+	var eligArr [stackBackends]*backend
+	elig := eligArr[:0]
+	for i, b := range g.backends {
+		if !tried[i] && b.routable() && !b.ejected.Load() {
 			elig = append(elig, b)
 		}
 	}
 	if len(elig) == 0 {
-		for _, b := range g.backends {
-			if !tried[b] && b.routable() {
+		for i, b := range g.backends {
+			if !tried[i] && b.routable() {
 				elig = append(elig, b)
 			}
 		}
 	}
 	if len(elig) == 0 {
-		for _, b := range g.backends {
-			if !tried[b] {
+		for i, b := range g.backends {
+			if !tried[i] {
 				elig = append(elig, b)
 			}
 		}
@@ -206,11 +228,13 @@ func (g *Gate) pick(class string, tried map[*backend]bool) *backend {
 func (g *Gate) pickWeighted(class string, elig []*backend) *backend {
 	// Best (lowest) TC across eligible backends normalizes affinity.
 	bestTC := 0.0
-	tcs := make([]float64, len(elig))
-	for i, b := range elig {
-		tcs[i] = b.tcFor(class)
-		if tcs[i] > 0 && (bestTC == 0 || tcs[i] < bestTC) {
-			bestTC = tcs[i]
+	var tcsArr [stackBackends]float64
+	tcs := tcsArr[:0]
+	for _, b := range elig {
+		tc := b.tcFor(class)
+		tcs = append(tcs, tc)
+		if tc > 0 && (bestTC == 0 || tc < bestTC) {
+			bestTC = tc
 		}
 	}
 	w := g.cfg.Policy.Weights

@@ -19,6 +19,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"wats/internal/wire"
 )
 
 // maxBatchItems bounds one batch request; beyond it is a 400, not a
@@ -59,8 +61,8 @@ func (s *Server) handleJobsBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(wire.Bounded(w, r)).Decode(&req); err != nil {
+		badBody(w, err)
 		return
 	}
 	if len(req.Jobs) == 0 {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wats/internal/trace"
+	"wats/internal/wire"
 )
 
 // Decision-ledger capture control: StartCapture attaches a rotating
@@ -109,8 +110,8 @@ func (s *Server) handleTraceStart(w http.ResponseWriter, r *http.Request) {
 	}
 	var req captureStartRequest
 	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if err := json.NewDecoder(wire.Bounded(w, r)).Decode(&req); err != nil {
+			badBody(w, err)
 			return
 		}
 	}

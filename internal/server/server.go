@@ -38,6 +38,7 @@ import (
 	"wats/internal/runtime"
 	"wats/internal/scale"
 	"wats/internal/trace"
+	"wats/internal/wire"
 )
 
 // Config configures a Server.
@@ -215,7 +216,8 @@ func (s *Server) Handler() *http.ServeMux {
 	return mux
 }
 
-// submitRequest is the POST /v1/jobs body.
+// submitRequest is one job of a POST /v1/jobs:batch body. A POST /v1/jobs
+// body has the same shape and is decoded by wire.DecodeJob.
 type submitRequest struct {
 	Workload string `json:"workload"`
 	Params   Params `json:"params"`
@@ -228,22 +230,51 @@ type submitRequest struct {
 	Async bool `json:"async,omitempty"`
 }
 
+// bodyPool holds the buffers POST /v1/jobs bodies are read into. A
+// buffer a large body grew past maxPooledBody is dropped, not kept.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// readJob reads one POST /v1/jobs body, bounded by wire.MaxBody, decodes
+// it and resolves its workload. The request's bytes live in a pooled
+// buffer only until it returns; on failure it has answered 413 or 400.
+func (s *Server) readJob(w http.ResponseWriter, r *http.Request) (wl Workload, req wire.JobRequest, ok bool) {
+	bp := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(bp)
+	body, err := wire.ReadBody(*bp, wire.Bounded(w, r), r.ContentLength)
+	if cap(body) <= maxPooledBody {
+		*bp = body
+	}
+	if err == nil {
+		req, err = wire.DecodeJob(body)
+	}
+	if err != nil {
+		badBody(w, err)
+		return wl, req, false
+	}
+	if wl, ok = s.cfg.Workloads[string(req.Workload)]; !ok {
+		httpError(w, http.StatusBadRequest, "unknown workload %q (see /v1/workloads)", req.Workload)
+	}
+	req.Workload = nil // aliased the pooled buffer
+	return wl, req, ok
+}
+
+// contentTypeJSON is the header value every synchronous answer shares:
+// net/http only reads a response header's value slice.
+var contentTypeJSON = []string{"application/json"}
+
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	wl, ok := s.cfg.Workloads[req.Workload]
+	wl, req, ok := s.readJob(w, r)
 	if !ok {
-		httpError(w, http.StatusBadRequest, "unknown workload %q (see /v1/workloads)", req.Workload)
 		return
 	}
-	if err := req.Params.Validate(); err != nil {
+	params := Params(req.Params)
+	if err := params.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "bad params: %v", err)
 		return
 	}
@@ -271,15 +302,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	s.metrics.Submitted()
 
 	if req.Async {
-		s.submitAsync(w, &wl, req.Params, deadline)
+		s.submitAsync(w, &wl, params, deadline)
 		return
 	}
-	rec, code := s.submitSync(r.Context(), &wl, req.Params, deadline)
+	rec, code := s.submitSync(r.Context(), &wl, params, deadline)
 	if rec == nil {
 		httpError(w, http.StatusServiceUnavailable, "runtime shut down")
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = contentTypeJSON
 	w.WriteHeader(code)
 	_, _ = w.Write(rec.buf)
 	rec.unref()
@@ -426,8 +457,8 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req resizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(wire.Bounded(w, r)).Decode(&req); err != nil {
+		badBody(w, err)
 		return
 	}
 	counts := req.Shape
@@ -510,6 +541,16 @@ func (s *Server) shed(w http.ResponseWriter, format string, args ...any) {
 	s.metrics.Shed()
 	w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
 	httpError(w, http.StatusTooManyRequests, format, args...)
+}
+
+// badBody answers a request whose body could not be read or decoded:
+// 413 when it ran past the bound every POST is read through, else 400.
+func badBody(w http.ResponseWriter, err error) {
+	code := http.StatusBadRequest
+	if wire.TooLarge(err) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, code, "bad request body: %v", err)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -10,7 +10,9 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
+	"net/http"
 	"strconv"
 )
 
@@ -66,12 +68,12 @@ func DecodeJob(body []byte) (JobRequest, error) {
 	return JobRequest{Workload: []byte(v.Workload), Params: v.Params, DeadlineMS: v.DeadlineMS, Async: v.Async}, err
 }
 
-// PeekExecMS returns the exec_ms of a synchronous job response, false
-// when the body is not a JSON object. It scans the members watsd's
-// encoder writes ahead of exec_ms (id, workload, status, queue_wait_ms)
-// and stops at the value; a body that departs from that layout before
-// exec_ms is found — including one that omits it — is decoded by
-// encoding/json instead.
+// PeekExecMS returns the exec_ms of a synchronous job response (0 when
+// it has none), false when encoding/json refuses the body. It scans the
+// members watsd's encoder writes ahead of exec_ms (id, workload, status,
+// queue_wait_ms) and stops at the value; a body that departs from that
+// layout before exec_ms is found — including one that omits it — is
+// decoded by encoding/json instead.
 func PeekExecMS(body []byte) (float64, bool) {
 	c := cursor{b: body}
 	if c.eat('{') {
@@ -109,16 +111,36 @@ func PeekExecMS(body []byte) (float64, bool) {
 	return out.ExecMS, true
 }
 
+// Bounded returns the body of r as a reader that yields at most MaxBody
+// bytes. A declared length within the bound needs no second guard, since
+// net/http never yields more than was declared; any other body is read
+// through http.MaxBytesReader, which fails the read that runs past the
+// bound with the error TooLarge recognises.
+func Bounded(w http.ResponseWriter, r *http.Request) io.Reader {
+	if r.ContentLength >= 0 && r.ContentLength <= MaxBody {
+		return r.Body
+	}
+	return http.MaxBytesReader(w, r.Body, MaxBody)
+}
+
+// TooLarge reports whether err, from reading or decoding a Bounded
+// body, means the body ran past MaxBody: the answer is then 413, not 400.
+func TooLarge(err error) bool {
+	var tooLarge *http.MaxBytesError
+	return errors.As(err, &tooLarge)
+}
+
 // ReadBody reads r to its end into buf[:0], growing buf as needed, and
 // returns the bytes read with the first error other than io.EOF. hint is
 // the declared Content-Length (negative = unknown) and sizes a new
 // buffer once; the caller bounds r.
 func ReadBody(buf []byte, r io.Reader, hint int64) ([]byte, error) {
-	buf = buf[:0]
-	if need := int(min(hint, MaxBody)); need > cap(buf) {
+	need := 512
+	if hint > 0 && hint <= MaxBody { // a length past the bound is a claim, not a size
+		need = int(hint)
+	}
+	if buf = buf[:0]; cap(buf) < need {
 		buf = make([]byte, 0, need)
-	} else if cap(buf) == 0 {
-		buf = make([]byte, 0, 512)
 	}
 	for {
 		n, err := r.Read(buf[len(buf):cap(buf)])
@@ -149,14 +171,18 @@ func (c *cursor) ws() {
 	}
 }
 
-// eat consumes ch if it is the next byte after any whitespace.
-func (c *cursor) eat(ch byte) bool {
-	c.ws()
+// next consumes ch if it is the next byte; eat skips whitespace first.
+func (c *cursor) next(ch byte) bool {
 	if c.i < len(c.b) && c.b[c.i] == ch {
 		c.i++
 		return true
 	}
 	return false
+}
+
+func (c *cursor) eat(ch byte) bool {
+	c.ws()
+	return c.next(ch)
 }
 
 func (c *cursor) atEnd() bool {
@@ -200,68 +226,45 @@ func (c *cursor) digits() int {
 	return c.i - start
 }
 
-// integer consumes a JSON integer that fits in 64 bits: its magnitude
-// and sign. A fraction or exponent is left for the caller's next eat to
-// stumble on.
-func (c *cursor) integer() (mag uint64, neg, ok bool) {
-	if c.i < len(c.b) && c.b[c.i] == '-' {
-		neg = true
-		c.i++
-	}
+// integer consumes an integer in the JSON grammar and returns its
+// text: strconv decides whether it fits the field. A fraction or
+// exponent is left for the caller's next eat to stumble on.
+func (c *cursor) integer() ([]byte, bool) {
 	start := c.i
-	n := c.digits()
-	if n == 0 || (n > 1 && c.b[start] == '0') {
-		return 0, false, false
+	c.next('-')
+	lead := c.i
+	if n := c.digits(); n == 0 || (n > 1 && c.b[lead] == '0') {
+		return nil, false
 	}
-	for _, d := range c.b[start:c.i] {
-		next := mag*10 + uint64(d-'0')
-		if mag > (1<<64-1)/10 || next < mag*10 {
-			return 0, false, false
-		}
-		mag = next
-	}
-	return mag, neg, true
+	return c.b[start:c.i], true
 }
 
-// int64 consumes an integer in the int64 range.
 func (c *cursor) int64() (int64, bool) {
-	mag, neg, ok := c.integer()
-	switch {
-	case !ok || mag > 1<<63 || (mag == 1<<63 && !neg):
-		return 0, false
-	case neg:
-		return -int64(mag), true // mag == 1<<63 wraps to MinInt64, as it should
-	}
-	return int64(mag), true
+	tok, ok := c.integer()
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	return v, ok && err == nil
 }
 
-// int consumes an integer in the platform's int range.
 func (c *cursor) int() (int, bool) {
-	v, ok := c.int64()
-	return int(v), ok && int64(int(v)) == v
+	tok, ok := c.integer()
+	v, err := strconv.ParseInt(string(tok), 10, 0)
+	return int(v), ok && err == nil
+}
+
+func (c *cursor) uint64() (uint64, bool) {
+	tok, ok := c.integer()
+	v, err := strconv.ParseUint(string(tok), 10, 64)
+	return v, ok && err == nil
 }
 
 // float consumes a number in the JSON grammar.
 func (c *cursor) float() (float64, bool) {
 	start := c.i
-	if c.i < len(c.b) && c.b[c.i] == '-' {
-		c.i++
-	}
-	intStart := c.i
-	if n := c.digits(); n == 0 || (n > 1 && c.b[intStart] == '0') {
+	if _, ok := c.integer(); !ok || (c.next('.') && c.digits() == 0) {
 		return 0, false
 	}
-	if c.i < len(c.b) && c.b[c.i] == '.' {
-		c.i++
-		if c.digits() == 0 {
-			return 0, false
-		}
-	}
-	if c.i < len(c.b) && (c.b[c.i] == 'e' || c.b[c.i] == 'E') {
-		c.i++
-		if c.i < len(c.b) && (c.b[c.i] == '+' || c.b[c.i] == '-') {
-			c.i++
-		}
+	if c.next('e') || c.next('E') {
+		_ = c.next('+') || c.next('-')
 		if c.digits() == 0 {
 			return 0, false
 		}
@@ -319,9 +322,7 @@ func (c *cursor) object(req *JobRequest, params bool) bool {
 			req.Params.Size, ok = c.int()
 		case params && k == "seed":
 			bit = 2
-			var neg bool
-			req.Params.Seed, neg, ok = c.integer()
-			ok = ok && !neg
+			req.Params.Seed, ok = c.uint64()
 		case params && k == "n":
 			bit = 4
 			req.Params.N, ok = c.int()
