@@ -122,11 +122,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// error passes through.
 	body, err := wire.ReadBody(nil, wire.Bounded(w, r), r.ContentLength)
 	if err != nil {
-		code := http.StatusBadRequest
-		if wire.TooLarge(err) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "read body: %v", err)
+		httpError(w, wire.BodyErrorStatus(err), "read body: %v", err)
 		return
 	}
 	req, _ := wire.DecodeJob(body)

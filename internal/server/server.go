@@ -546,11 +546,7 @@ func (s *Server) shed(w http.ResponseWriter, format string, args ...any) {
 // badBody answers a request whose body could not be read or decoded:
 // 413 when it ran past the bound every POST is read through, else 400.
 func badBody(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	if wire.TooLarge(err) {
-		code = http.StatusRequestEntityTooLarge
-	}
-	httpError(w, code, "bad request body: %v", err)
+	httpError(w, wire.BodyErrorStatus(err), "bad request body: %v", err)
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

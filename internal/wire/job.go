@@ -115,7 +115,7 @@ func PeekExecMS(body []byte) (float64, bool) {
 // bytes. A declared length within the bound needs no second guard, since
 // net/http never yields more than was declared; any other body is read
 // through http.MaxBytesReader, which fails the read that runs past the
-// bound with the error TooLarge recognises.
+// bound with the error BodyErrorStatus maps to 413.
 func Bounded(w http.ResponseWriter, r *http.Request) io.Reader {
 	if r.ContentLength >= 0 && r.ContentLength <= MaxBody {
 		return r.Body
@@ -123,11 +123,15 @@ func Bounded(w http.ResponseWriter, r *http.Request) io.Reader {
 	return http.MaxBytesReader(w, r.Body, MaxBody)
 }
 
-// TooLarge reports whether err, from reading or decoding a Bounded
-// body, means the body ran past MaxBody: the answer is then 413, not 400.
-func TooLarge(err error) bool {
+// BodyErrorStatus is the status that answers a request whose Bounded
+// body failed to read or decode with err: 413 when it ran past MaxBody,
+// else 400.
+func BodyErrorStatus(err error) int {
 	var tooLarge *http.MaxBytesError
-	return errors.As(err, &tooLarge)
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // ReadBody reads r to its end into buf[:0], growing buf as needed, and
