@@ -64,9 +64,7 @@ func TestGateBodyHandling(t *testing.T) {
 		w.Write([]byte(`{"error":"backend says no"}`))
 	}
 	g, ts := newGateTS(t, Config{Backends: []BackendConf{{Name: "a", URL: b.ts.URL}}})
-	g.classMu.Lock()
-	g.classOf = map[string]string{"heavy": "heavy-class"}
-	g.classMu.Unlock()
+	g.classOf.Store(&map[string]string{"heavy": "heavy-class"})
 
 	for _, body := range []string{`{"workload":"heavy"`, `{"Workload":"heavy"} trailing`, `not json`} {
 		resp, answer := postJSON(t, ts.URL+"/v1/jobs", body)
@@ -81,9 +79,19 @@ func TestGateBodyHandling(t *testing.T) {
 		t.Errorf("routed by class %v, want heavy-class 1 of 3", snap.RoutedByClass)
 	}
 
-	got.Store("")
-	resp, answer := postJSON(t, ts.URL+"/v1/jobs", `{"workload":"`+strings.Repeat("x", wire.MaxBody)+`"}`)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(answer), "too large") || got.Load() != "" {
-		t.Errorf("oversized body: HTTP %d %s, backend saw %d bytes — want 413 and nothing forwarded", resp.StatusCode, answer, len(got.Load().(string)))
+	// Past the bound, unary or batch — one item too large or too many of
+	// them — the answer is 413 and nothing is forwarded.
+	b.batch = b.jobs
+	huge := `{"workload":"` + strings.Repeat("x", wire.MaxBody) + `"}`
+	for _, row := range []struct{ name, path, body string }{
+		{"oversized body", "/v1/jobs", huge},
+		{"oversized batch item", "/v1/jobs:batch", `{"jobs":[{"workload":"w"},` + huge + `]}`},
+		{"oversized batch", "/v1/jobs:batch", `{"jobs":[` + strings.Repeat(`{"workload":"w"},`, wire.MaxBody/16) + `{"workload":"w"}]}`},
+	} {
+		got.Store("")
+		resp, answer := postJSON(t, ts.URL+row.path, row.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(answer), "too large") || got.Load() != "" {
+			t.Errorf("%s: HTTP %d %s, backend saw %d bytes — want 413 and nothing forwarded", row.name, resp.StatusCode, answer, len(got.Load().(string)))
+		}
 	}
 }

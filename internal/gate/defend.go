@@ -24,7 +24,6 @@
 package gate
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -125,72 +124,29 @@ func (g *Gate) takeRetry(hedge bool) bool {
 	return true
 }
 
-// latRing is a fixed-size ring of recent gate-observed round-trip
-// latencies for one class, across all backends — the sample pool the
-// hedge delay's quantile is computed from. Cluster-wide rather than
-// per-backend on purpose: the delay answers "how long do healthy
-// requests take", and a gray backend's own tail must not stretch the
-// very trigger meant to catch it. (Outliers still land in the ring, but
-// at p95 over a 128-sample window a single slow backend cannot drag the
-// estimate far before ejection removes it.)
+// latRing is a ring of recent gate-observed round-trip latencies for
+// one class, across all backends — the sample pool the hedge delay's
+// quantile is computed from, guarded by Gate.hedgeMu. Cluster-wide
+// rather than per-backend on purpose: the delay answers "how long do
+// healthy requests take", and a gray backend's own tail must not stretch
+// the very trigger meant to catch it. (Outliers still land in the ring,
+// but at p95 over a 128-sample window a single slow backend cannot drag
+// the estimate far before ejection removes it.)
 type latRing struct {
-	mu  sync.Mutex
-	buf [128]float64 // milliseconds
-	n   int          // total samples ever recorded
-}
-
-// minHedgeSamples is how many observations a class needs before the
-// quantile estimate replaces Hedge.MaxDelay.
-const minHedgeSamples = 16
-
-func (r *latRing) add(ms float64) {
-	r.mu.Lock()
-	r.buf[r.n%len(r.buf)] = ms
-	r.n++
-	r.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the retained window, or ok=false
-// while fewer than minHedgeSamples have been recorded.
-func (r *latRing) quantile(q float64) (float64, bool) {
-	r.mu.Lock()
-	n := r.n
-	if n > len(r.buf) {
-		n = len(r.buf)
-	}
-	if r.n < minHedgeSamples {
-		r.mu.Unlock()
-		return 0, false
-	}
-	tmp := make([]float64, n)
-	copy(tmp, r.buf[:n])
-	r.mu.Unlock()
-	sort.Float64s(tmp)
-	idx := int(q * float64(n-1))
-	return tmp[idx], true
+	buf [hedgeWindow]float64 // milliseconds
+	n   int                  // total samples ever recorded
 }
 
 // hedgeDelay is how long the primary attempt gets before a hedge fires
-// for this class: the configured quantile of recent round trips,
-// clamped to [MinDelay, MaxDelay]; MaxDelay verbatim while cold.
+// for this class: hedgeDelayOf (policy.go) over a copy of its window.
 func (g *Gate) hedgeDelay(class string) time.Duration {
-	h := g.cfg.Hedge
-	d := h.MaxDelay
-	g.latMu.Lock()
-	ring := g.lat[class]
-	g.latMu.Unlock()
-	if ring != nil {
-		if ms, ok := ring.quantile(h.Quantile); ok {
-			d = time.Duration(ms * float64(time.Millisecond))
-		}
+	var ring latRing
+	g.hedgeMu.Lock()
+	if r := g.hedgeWindows[class]; r != nil {
+		ring = *r
 	}
-	if d < h.MinDelay {
-		d = h.MinDelay
-	}
-	if d > h.MaxDelay {
-		d = h.MaxDelay
-	}
-	return d
+	g.hedgeMu.Unlock()
+	return hedgeDelayOf(g.cfg.Hedge, ring.buf, ring.n)
 }
 
 // recordLat feeds one completed round trip into the class's hedge ring.
@@ -198,14 +154,15 @@ func (g *Gate) recordLat(class string, ms float64) {
 	if ms <= 0 {
 		return
 	}
-	g.latMu.Lock()
-	ring := g.lat[class]
+	g.hedgeMu.Lock()
+	ring := g.hedgeWindows[class]
 	if ring == nil {
 		ring = &latRing{}
-		g.lat[class] = ring
+		g.hedgeWindows[class] = ring
 	}
-	g.latMu.Unlock()
-	ring.add(ms)
+	ring.buf[ring.n%len(ring.buf)] = ms
+	ring.n++
+	g.hedgeMu.Unlock()
 }
 
 // DefenseStats is a point-in-time copy of the gate-level defense

@@ -11,9 +11,12 @@ import (
 // TestHedgeWinsAgainstGrayBackend: backend "gray" answers sync submits
 // after a long stall; "ok" answers fast. With hedging on, a request
 // whose primary lands on gray must come back at hedge speed with the
-// hedge headers set, and gray's stall must not be waited out.
+// hedge headers set, and gray's stall must not be waited out. A loser the
+// gate cancelled is no failure of its backend: it counts as no outcome,
+// no transport error and no re-route (the repository benchmark once read
+// every hedge as one of each).
 func TestHedgeWinsAgainstGrayBackend(t *testing.T) {
-	var grayStarted, grayDone atomic.Int64
+	var grayStarted, grayCancelled, grayDone, okAnswered atomic.Int64
 	gray := newFake(t)
 	gray.jobs = func(w http.ResponseWriter, r *http.Request) {
 		grayStarted.Add(1)
@@ -22,15 +25,17 @@ func TestHedgeWinsAgainstGrayBackend(t *testing.T) {
 			grayDone.Add(1)
 			w.Write([]byte(`{"id":"g1","workload":"w","status":"completed","exec_ms":2000}`))
 		case <-r.Context().Done():
+			grayCancelled.Add(1)
 		}
 	}
 	ok := newFake(t)
 	ok.jobs = func(w http.ResponseWriter, r *http.Request) {
+		okAnswered.Add(1)
 		w.Write([]byte(`{"id":"j1","workload":"w","status":"completed","exec_ms":3}`))
 	}
 	// Round-robin guarantees gray gets primaries; the tiny MaxDelay
 	// keeps the test fast with a cold latency ring.
-	_, ts := newGateTS(t, Config{
+	g, ts := newGateTS(t, Config{
 		Backends: []BackendConf{{Name: "gray", URL: gray.ts.URL}, {Name: "ok", URL: ok.ts.URL}},
 		Policy:   Policy{Kind: PolicyRoundRobin},
 		Hedge:    HedgeConfig{Enabled: true, MinDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
@@ -61,6 +66,33 @@ func TestHedgeWinsAgainstGrayBackend(t *testing.T) {
 	}
 	if grayDone.Load() != 0 {
 		t.Fatal("a cancelled gray attempt ran to completion inside the test window")
+	}
+
+	// Once every loser has drained — gray saw each of its requests
+	// cancelled, the gate has none in flight to it, and the result has
+	// crossed the one channel to drainLosers — the books must show gray's
+	// attempts as routed and nothing else.
+	deadline := time.Now().Add(2 * time.Second)
+	for (grayCancelled.Load() != grayStarted.Load() || g.backends[0].inflight.Load() != 0) && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	snap := g.Snapshot()
+	if s := snap[0]; s.Routed != uint64(grayStarted.Load()) || s.Reroutes != 0 || len(s.Outcomes) != 0 {
+		t.Errorf("gray after %d cancelled losers: routed %d, reroutes %d, outcomes %v — want them routed, 0 and none",
+			grayStarted.Load(), s.Routed, s.Reroutes, s.Outcomes)
+	}
+	var outcomes uint64
+	for _, s := range snap {
+		for _, n := range s.Outcomes {
+			outcomes += n
+		}
+	}
+	if outcomes != uint64(okAnswered.Load()) {
+		t.Errorf("%d outcomes counted for %d answered attempts", outcomes, okAnswered.Load())
+	}
+	if d := g.Defenses(); d.RerouteLaunches != 0 {
+		t.Errorf("%d re-routes launched with no failure anywhere", d.RerouteLaunches)
 	}
 }
 
@@ -144,26 +176,35 @@ func ejectEnv(t *testing.T, n int, cfg EjectConfig) *Gate {
 	return g
 }
 
+// feed folds n full round trips of ms milliseconds into b's row for
+// class "w".
+func feed(g *Gate, b *backend, n int, ms float64) {
+	for i := 0; i < n; i++ {
+		g.learn(b, "w", 0, ms, false)
+	}
+}
+
 // TestEjectionAndProbeReentry: a backend whose RTT EWMA is k× the
 // cluster median for the sustain window is demoted to probe-only, then
 // re-admitted once its latency recovers.
 func TestEjectionAndProbeReentry(t *testing.T) {
-	g := ejectEnv(t, 3, EjectConfig{Enabled: true, Factor: 3, Window: 50 * time.Millisecond, Probe: 30 * time.Millisecond, MinSamples: 3, RecoverFactor: 0.7})
+	const probe = 30 * time.Millisecond
+	g := ejectEnv(t, 3, EjectConfig{Enabled: true, Factor: 3, Window: 50 * time.Millisecond, Probe: probe, MinSamples: 3, RecoverFactor: 0.7})
 	a, b, c := g.backends[0], g.backends[1], g.backends[2]
 	// Feed the signal directly: a and b at ~10ms, c at ~100ms (10× the
 	// median), all past MinSamples.
-	for i := 0; i < 6; i++ {
-		a.observeRTT("w", 10, false, 0.3)
-		b.observeRTT("w", 10, false, 0.3)
-		c.observeRTT("w", 100, false, 0.3)
-	}
-	now := time.Now()
-	g.ejectOnce(now)                            // starts the sustain clock
-	g.ejectOnce(now.Add(60 * time.Millisecond)) // past Window: ejects
-	if !c.ejected.Load() {
+	feed(g, a, 6, 10)
+	feed(g, b, 6, 10)
+	feed(g, c, 6, 100)
+	now := time.Unix(1_000_000, 0)
+	g.now = func() time.Time { return now }
+	g.ejectOnce(now) // starts the sustain clock
+	now = now.Add(60 * time.Millisecond)
+	g.ejectOnce(now) // past Window: ejects
+	if !c.ejected {
 		t.Fatal("c not ejected despite 10x sustained excess")
 	}
-	if a.ejected.Load() || b.ejected.Load() {
+	if a.ejected || b.ejected {
 		t.Fatal("healthy backend ejected")
 	}
 	if c.ejections.Load() != 1 {
@@ -171,35 +212,31 @@ func TestEjectionAndProbeReentry(t *testing.T) {
 	}
 
 	// Ejected backends are excluded from normal picks but receive the
-	// periodic probe on primary picks.
-	probed := false
-	for i := 0; i < 50; i++ {
-		picked := g.pick("w", map[*backend]bool{})
-		if picked == c {
-			probed = true
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	// periodic probe on primary picks: one now, the next a Probe later.
+	if picked := pick(g, "w"); picked != c {
+		t.Fatalf("first primary pick after the ejection went to %q, want the probe to c", picked.name)
 	}
-	if !probed {
-		t.Fatal("ejected backend never received a probe pick")
+	if c.probes.Load() != 1 {
+		t.Fatalf("probe counter reads %d, want 1", c.probes.Load())
 	}
-	if c.probes.Load() == 0 {
-		t.Fatal("probe counter did not move")
+	if picked := pick(g, "w"); picked == c {
+		t.Fatal("ejected backend received a second probe inside one Probe interval")
+	}
+	if c.view("w", probe, now.Add(probe-time.Nanosecond)).probeDue || !c.view("w", probe, now.Add(probe)).probeDue {
+		t.Fatal("probe not due exactly one Probe interval after the last")
 	}
 	// Re-route picks (non-empty tried set) must avoid the ejected node
-	// while alternatives remain.
-	if picked := g.pick("w", map[*backend]bool{a: true}); picked == c {
+	// while alternatives remain, due probe or not.
+	now = now.Add(probe)
+	if picked := pick(g, "w", a); picked == c {
 		t.Fatal("re-route pick chose the ejected backend over a healthy one")
 	}
 
 	// Recovery: fold in fast probe results until the EWMA drops under
 	// Factor×RecoverFactor× median, then one evaluator pass re-admits.
-	for i := 0; i < 40; i++ {
-		c.observeRTT("w", 10, false, 0.3)
-	}
-	g.ejectOnce(now.Add(120 * time.Millisecond))
-	if c.ejected.Load() {
+	feed(g, c, 40, 10)
+	g.ejectOnce(now.Add(30 * time.Millisecond))
+	if c.ejected {
 		t.Fatal("c not re-admitted after recovery")
 	}
 }
@@ -210,20 +247,18 @@ func TestEjectionAndProbeReentry(t *testing.T) {
 func TestEjectionSparesLastBackend(t *testing.T) {
 	g := ejectEnv(t, 2, EjectConfig{Enabled: true, Factor: 3, Window: 10 * time.Millisecond, MinSamples: 3, RecoverFactor: 0.7})
 	a, b := g.backends[0], g.backends[1]
-	for i := 0; i < 6; i++ {
-		a.observeRTT("w", 10, false, 0.3)
-		b.observeRTT("w", 200, false, 0.3)
-	}
-	a.ready.Store(false) // the only healthy peer goes away
+	feed(g, a, 6, 10)
+	feed(g, b, 6, 200)
+	a.ready = false // the only healthy peer goes away
 	now := time.Now()
 	g.ejectOnce(now)
 	g.ejectOnce(now.Add(20 * time.Millisecond))
-	if b.ejected.Load() {
+	if b.ejected {
 		t.Fatal("ejected the last routable backend")
 	}
-	a.ready.Store(true) // peer returns: now the ejection may proceed
+	a.ready = true // peer returns: now the ejection may proceed
 	g.ejectOnce(now.Add(40 * time.Millisecond))
-	if !b.ejected.Load() {
+	if !b.ejected {
 		t.Fatal("outlier kept in rotation despite a healthy alternative")
 	}
 }
@@ -232,14 +267,15 @@ func TestEjectionSparesLastBackend(t *testing.T) {
 // up, never down — a wedged backend must not look fast because its
 // only full samples are the rare quick answers.
 func TestCensoredRTTRatchet(t *testing.T) {
-	b := &backend{}
-	b.observeRTT("w", 50, false, 0.3)
-	b.observeRTT("w", 5, true, 0.3) // lower bound below estimate: no-op
-	if got := b.rttTable()["w"].ms; got != 50 {
+	g := ejectEnv(t, 1, EjectConfig{})
+	b := g.backends[0]
+	g.learn(b, "w", 0, 50, false)
+	g.learn(b, "w", 0, 5, true) // lower bound below estimate: no-op
+	if got := b.row().table["w"].rttMS; got != 50 {
 		t.Fatalf("downward censored sample moved EWMA to %v", got)
 	}
-	b.observeRTT("w", 150, true, 0.3) // lower bound above estimate: folds in
-	if got := b.rttTable()["w"].ms; got <= 50 {
+	g.learn(b, "w", 0, 150, true) // lower bound above estimate: folds in
+	if got := b.row().table["w"].rttMS; got <= 50 {
 		t.Fatalf("upward censored sample ignored, EWMA still %v", got)
 	}
 }

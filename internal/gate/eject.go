@@ -24,7 +24,6 @@ package gate
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -52,55 +51,11 @@ type EjectConfig struct {
 	RecoverFactor float64
 }
 
-// rttEWMA is one (backend, class) round-trip estimate.
-type rttEWMA struct {
-	ms float64
-	n  int64
-}
-
-// observeRTT folds one gate-observed round trip into the backend's RTT
-// table. Censored samples (the attempt was cancelled after ms elapsed)
-// only ratchet the estimate upward — a lower bound below the current
-// estimate carries no information.
-func (b *backend) observeRTT(class string, ms float64, censored bool, alpha float64) {
-	if ms <= 0 || class == "" {
-		return
-	}
-	b.rttMu.Lock()
-	defer b.rttMu.Unlock()
-	if b.rtt == nil {
-		b.rtt = map[string]rttEWMA{}
-	}
-	s, ok := b.rtt[class]
-	if !ok {
-		b.rtt[class] = rttEWMA{ms: ms, n: 1}
-		return
-	}
-	if censored && ms <= s.ms {
-		return
-	}
-	s.ms = (1-alpha)*s.ms + alpha*ms
-	s.n++
-	b.rtt[class] = s
-}
-
-// rttTable snapshots the backend's RTT estimates.
-func (b *backend) rttTable() map[string]rttEWMA {
-	b.rttMu.Lock()
-	defer b.rttMu.Unlock()
-	out := make(map[string]rttEWMA, len(b.rtt))
-	for k, v := range b.rtt {
-		out[k] = v
-	}
-	return out
-}
-
-// grantProbe grants at most one probe per Probe interval to an ejected
-// backend.
-func (b *backend) grantProbe(every time.Duration) bool {
-	now := time.Now()
-	b.ejMu.Lock()
-	defer b.ejMu.Unlock()
+// takeProbe claims the backend's probe slot: at most one per Probe
+// interval.
+func (b *backend) takeProbe(now time.Time, every time.Duration) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if now.Sub(b.lastProbe) < every {
 		return false
 	}
@@ -113,100 +68,38 @@ func (b *backend) grantProbe(every time.Duration) bool {
 // sustain window.
 func (g *Gate) ejectLoop() {
 	defer g.wg.Done()
-	period := g.cfg.Eject.Window / 4
-	if period < 25*time.Millisecond {
-		period = 25 * time.Millisecond
-	}
-	t := time.NewTicker(period)
+	t := time.NewTicker(max(g.cfg.Eject.Window/4, 25*time.Millisecond))
 	defer t.Stop()
 	for {
 		select {
 		case <-g.stop:
 			return
 		case <-t.C:
-			g.ejectOnce(time.Now())
+			g.ejectOnce(g.now())
 		}
 	}
 }
 
-// ejectOnce evaluates every backend against the cluster. Median over
-// the *lower* middle element, so a 2-backend cluster compares the slow
-// node against the fast one rather than against their midpoint (with an
-// even count a true median would dilute the only healthy reference).
-// Factor provides the safety margin that keeps a merely-mediocre node
-// in rotation.
+// ejectOnce is one evaluator pass: copy every backend's row, let
+// ejectStep (policy.go) decide, commit each changed state under its
+// backend's lock and log the ejections and re-admissions.
 func (g *Gate) ejectOnce(now time.Time) {
-	cfg := g.cfg.Eject
-	tables := make([]map[string]rttEWMA, len(g.backends))
+	rows := make([]row, len(g.backends))
 	for i, b := range g.backends {
-		tables[i] = b.rttTable()
+		rows[i] = b.row()
 	}
-	// Cluster median RTT per class, over backends with enough samples.
-	med := map[string]float64{}
-	vals := map[string][]float64{}
-	for _, t := range tables {
-		for class, s := range t {
-			if s.n >= cfg.MinSamples {
-				vals[class] = append(vals[class], s.ms)
-			}
-		}
-	}
-	for class, v := range vals {
-		if len(v) < 2 {
-			continue // a single estimate has no cluster to deviate from
-		}
-		sort.Float64s(v)
-		med[class] = v[(len(v)-1)/2]
-	}
-
-	for i, b := range g.backends {
-		ratio := 0.0
-		for class, s := range tables[i] {
-			m := med[class]
-			if s.n < cfg.MinSamples || m <= 0 {
-				continue
-			}
-			if r := s.ms / m; r > ratio {
-				ratio = r
-			}
-		}
-		if b.ejected.Load() {
-			if ratio > 0 && ratio < cfg.Factor*cfg.RecoverFactor {
-				b.ejected.Store(false)
-				b.exceedSince = time.Time{}
-				g.log.Info("backend re-admitted after ejection", "backend", b.name,
-					"ratio", math.Round(ratio*100)/100)
-			}
-			continue
-		}
-		if ratio < cfg.Factor {
-			b.exceedSince = time.Time{}
-			continue
-		}
-		if b.exceedSince.IsZero() {
-			b.exceedSince = now
-			continue
-		}
-		if now.Sub(b.exceedSince) < cfg.Window {
-			continue
-		}
-		if !g.otherRoutable(b) {
-			continue // degraded beats unreachable: never eject the last node
-		}
-		b.ejected.Store(true)
-		b.ejections.Add(1)
-		g.log.Warn("backend ejected as latency outlier", "backend", b.name,
-			"ratio", math.Round(ratio*100)/100, "factor", cfg.Factor)
-	}
-}
-
-// otherRoutable reports whether any backend besides b is routable and
-// not ejected.
-func (g *Gate) otherRoutable(b *backend) bool {
-	for _, o := range g.backends {
-		if o != b && o.routable() && !o.ejected.Load() {
-			return true
+	for _, tr := range ejectStep(g.cfg.Eject, rows, now) {
+		b := g.backends[tr.idx]
+		b.mu.Lock()
+		b.ejectState = tr.to
+		b.mu.Unlock()
+		ratio := math.Round(tr.ratio*100) / 100
+		switch {
+		case tr.to.ejected && !rows[tr.idx].ejected:
+			b.ejections.Add(1)
+			g.log.Warn("backend ejected as latency outlier", "backend", b.name, "ratio", ratio, "factor", g.cfg.Eject.Factor)
+		case !tr.to.ejected && rows[tr.idx].ejected:
+			g.log.Info("backend re-admitted after ejection", "backend", b.name, "ratio", ratio)
 		}
 	}
-	return false
 }

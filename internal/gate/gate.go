@@ -102,7 +102,8 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9_-]+$`)
 // the separator, so the split is unambiguous.
 const idSep = "."
 
-// polled is one backend's last successful /v1/stats snapshot.
+// polled is one backend's last successful /v1/stats snapshot, immutable
+// once stored.
 type polled struct {
 	Workers     int                      `json:"workers"`
 	Queued      int                      `json:"queued"`
@@ -111,43 +112,41 @@ type polled struct {
 	MaxInflight int                      `json:"max_inflight"`
 	Draining    bool                     `json:"draining"`
 	Classes     map[string]obs.ClassEWMA `json:"classes"`
-	at          time.Time
 }
 
 // backend is one watsd node plus everything the gate knows about it.
+//
+// Ownership: request goroutines, the poller and the eject evaluator read
+// and write routing state — the fields under mu — only through mu, held
+// for one copy out (view, row) or one fold in (learn, the commits of a
+// poll, a probe or a transition) and never across a call that can block.
+// The counters below stay atomics because only /metrics, Snapshot() and
+// Defenses() read them, with one exception: inflight, which an attempt
+// raises and lowers from two goroutines and a view reads, and which two
+// more lock round trips per attempt would make no more exact. Nothing
+// else is shared.
 type backend struct {
 	name string
 	url  string
 	cl   *client.Client // routed traffic; carries the circuit breaker
 
+	mu     sync.Mutex
+	ready  bool    // last /v1/readyz poll
+	polled *polled // last /v1/stats poll, nil before the first
+	// table is the cluster-level TC table's row for this backend, with
+	// the ejection signal beside it: class → classStat (policy.go).
+	table map[string]classStat
+	// ejectState is written by the eject evaluator alone; an ejected
+	// backend receives probe traffic only, one request per Eject.Probe
+	// counted from lastProbe.
+	ejectState
+	lastProbe time.Time
+
 	// inflight is the gate's own in-flight count to this backend —
 	// fresher than the polled number, which lags by up to PollInterval.
-	inflight atomic.Int64
-	ready    atomic.Bool
-	stats    atomic.Pointer[polled]
-
-	// tc is the cluster-level TC table: class → EWMA of backend-observed
-	// exec latency in milliseconds, learned from job responses.
-	tcMu sync.Mutex
-	tc   map[string]float64
-
-	// rtt is the gate-observed end-to-end round trip EWMA per class in
-	// milliseconds — the ejection signal. Unlike tc (backend-reported
-	// exec_ms) it sees network rot; censored samples from cancelled
-	// attempts ratchet it upward (eject.go).
-	rttMu sync.Mutex
-	rtt   map[string]rttEWMA
-
-	// Ejection state: ejected backends receive probe traffic only.
-	// exceedSince is owned by the eject evaluator; lastProbe is guarded
-	// by ejMu (pick() races grantProbe from many request goroutines).
-	ejected     atomic.Bool
-	exceedSince time.Time
-	ejMu        sync.Mutex
-	lastProbe   time.Time
-	ejections   atomic.Uint64
-	probes      atomic.Uint64
-
+	inflight  atomic.Int64
+	ejections atomic.Uint64
+	probes    atomic.Uint64
 	// Counters behind /metrics (watsgate_*). routedByClass maps
 	// class → *atomic.Uint64.
 	routedByClass sync.Map
@@ -159,24 +158,26 @@ type backend struct {
 // shutdown.
 type Gate struct {
 	cfg      Config
+	weights  weights // cfg.Policy.Weights, resolved once
 	log      *slog.Logger
+	now      func() time.Time // time.Now outside tests
 	backends []*backend
 	rr       atomic.Uint64 // round-robin cursor
 
 	// classOf maps workload name → task class, learned from the first
 	// backend that answers /v1/workloads (all nodes serve the same
-	// registry; a workload the map misses falls back to its own name).
-	classMu sync.RWMutex
-	classOf map[string]string
+	// registry; a workload the map misses falls back to its own name)
+	// and never written again; nil until then.
+	classOf atomic.Pointer[map[string]string]
 
 	requests [apiCount]atomic.Uint64
 
 	// Defense state (defend.go): the shared retry budget (nil =
-	// unlimited), the per-class latency rings behind the hedge delay,
-	// and the gate-level counters Defenses() reports.
+	// unlimited), the per-class windows behind the hedge delay, and the
+	// gate-level counters Defenses() reports.
 	budget          *retryBudget
-	latMu           sync.Mutex
-	lat             map[string]*latRing
+	hedgeMu         sync.Mutex
+	hedgeWindows    map[string]*latRing
 	primaries       atomic.Uint64
 	hedges          atomic.Uint64
 	hedgeWins       atomic.Uint64
@@ -266,13 +267,14 @@ func New(cfg Config) (*Gate, error) {
 		}
 	}
 	g := &Gate{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		classOf: map[string]string{},
-		lat:     map[string]*latRing{},
-		budget:  newRetryBudget(cfg.Budget),
-		pollHC:  &http.Client{Timeout: cfg.PollTimeout},
-		stop:    make(chan struct{}),
+		cfg:          cfg,
+		weights:      resolveWeights(cfg.Policy),
+		log:          cfg.Logger,
+		now:          time.Now,
+		hedgeWindows: map[string]*latRing{},
+		budget:       newRetryBudget(cfg.Budget),
+		pollHC:       &http.Client{Timeout: cfg.PollTimeout},
+		stop:         make(chan struct{}),
 	}
 	seen := map[string]bool{}
 	for _, bc := range cfg.Backends {
@@ -302,10 +304,7 @@ func New(cfg Config) (*Gate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("gate: backend %q: %w", bc.Name, err)
 		}
-		g.backends = append(g.backends, &backend{
-			name: bc.Name, url: bc.URL, cl: cl,
-			tc: map[string]float64{}, rtt: map[string]rttEWMA{},
-		})
+		g.backends = append(g.backends, &backend{name: bc.Name, url: bc.URL, cl: cl, table: map[string]classStat{}})
 	}
 	for i, b := range g.backends {
 		g.wg.Add(1)
@@ -349,22 +348,25 @@ type BackendSnapshot struct {
 func (g *Gate) Snapshot() []BackendSnapshot {
 	out := make([]BackendSnapshot, 0, len(g.backends))
 	for _, b := range g.backends {
+		r := b.row()
 		s := BackendSnapshot{
 			Name:          b.name,
-			Ready:         b.ready.Load(),
-			Breaker:       b.cl.BreakerState(),
+			Ready:         r.ready,
+			Breaker:       r.breaker,
 			Routed:        b.routedTotal(),
 			RoutedByClass: map[string]uint64{},
 			Reroutes:      b.reroutes.Load(),
 			Outcomes:      map[string]uint64{},
-			TC:            b.tcTable(),
-			Ejected:       b.ejected.Load(),
+			TC:            r.tc(),
+			Ejected:       r.ejected,
 			Ejections:     b.ejections.Load(),
 			Probes:        b.probes.Load(),
 			RTT:           map[string]float64{},
 		}
-		for class, e := range b.rttTable() {
-			s.RTT[class] = e.ms
+		for class, e := range r.table {
+			if e.rttN > 0 {
+				s.RTT[class] = e.rttMS
+			}
 		}
 		b.routedByClass.Range(func(k, v any) bool {
 			s.RoutedByClass[k.(string)] = v.(*atomic.Uint64).Load()
@@ -398,7 +400,7 @@ func (g *Gate) WaitReady(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		for _, b := range g.backends {
-			if b.ready.Load() {
+			if b.view("", 0, time.Time{}).ready {
 				return nil
 			}
 		}
@@ -437,13 +439,15 @@ func (g *Gate) pollLoop(b *backend, idx uint64) {
 }
 
 func (g *Gate) pollOnce(b *backend) {
-	wasReady := b.ready.Load()
 	ready := false
 	if resp, err := g.pollHC.Get(b.url + "/v1/readyz"); err == nil {
 		ready = resp.StatusCode == http.StatusOK
 		resp.Body.Close()
 	}
-	b.ready.Store(ready)
+	b.mu.Lock()
+	wasReady := b.ready
+	b.ready = ready
+	b.mu.Unlock()
 	if ready != wasReady {
 		g.log.Info("backend readiness changed", "backend", b.name, "ready", ready)
 	}
@@ -453,15 +457,13 @@ func (g *Gate) pollOnce(b *backend) {
 	if resp, err := g.pollHC.Get(b.url + "/v1/stats"); err == nil {
 		var p polled
 		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&p) == nil {
-			p.at = time.Now()
-			b.stats.Store(&p)
+			b.mu.Lock()
+			b.polled = &p
+			b.mu.Unlock()
 		}
 		resp.Body.Close()
 	}
-	g.classMu.RLock()
-	haveClasses := len(g.classOf) > 0
-	g.classMu.RUnlock()
-	if !haveClasses {
+	if g.classOf.Load() == nil {
 		if resp, err := g.pollHC.Get(b.url + "/v1/workloads"); err == nil {
 			var ws []struct {
 				Name  string `json:"name"`
@@ -472,9 +474,7 @@ func (g *Gate) pollOnce(b *backend) {
 				for _, w := range ws {
 					m[w.Name] = w.Class
 				}
-				g.classMu.Lock()
-				g.classOf = m
-				g.classMu.Unlock()
+				g.classOf.Store(&m)
 			}
 			resp.Body.Close()
 		}
@@ -485,59 +485,95 @@ func (g *Gate) pollOnce(b *backend) {
 // map to themselves (every builtin's class equals its name, and a
 // stable wrong key still learns a consistent table).
 func (g *Gate) classFor(workload []byte) string {
-	g.classMu.RLock()
-	defer g.classMu.RUnlock()
-	if c, ok := g.classOf[string(workload)]; ok {
-		return c
+	if m := g.classOf.Load(); m != nil {
+		if c, ok := (*m)[string(workload)]; ok {
+			return c
+		}
 	}
 	return string(workload)
 }
 
-// observe folds one backend-reported exec latency into the cluster TC
-// table (EWMA, Config.Alpha).
-func (b *backend) observe(class string, execMS, alpha float64) {
-	if execMS <= 0 || class == "" {
-		return
-	}
-	b.tcMu.Lock()
-	if old, ok := b.tc[class]; ok {
-		b.tc[class] = (1-alpha)*old + alpha*execMS
-	} else {
-		b.tc[class] = execMS
-	}
-	b.tcMu.Unlock()
-}
-
-// tcFor returns the backend's learned exec EWMA for class in
-// milliseconds: local observations first, the backend's own polled
-// /v1/stats table as the cold-start seed, 0 = unknown.
-func (b *backend) tcFor(class string) float64 {
-	b.tcMu.Lock()
-	v, ok := b.tc[class]
-	b.tcMu.Unlock()
-	if ok {
-		return v
-	}
-	if p := b.stats.Load(); p != nil {
-		if e, ok := p.Classes[class]; ok {
-			return e.ExecMS
+// learn folds one answered attempt into the backend's row for class,
+// and a full round trip into the class's hedge window. execMS is the
+// backend-reported exec latency (EWMA, Config.Alpha; 0 = the answer
+// carried none) and ms the gate-observed round trip (0 = not timed),
+// both in milliseconds. A censored round trip — the attempt was
+// cancelled or failed after that long — only ratchets the estimate
+// upward: a lower bound below the current estimate carries no
+// information.
+func (g *Gate) learn(b *backend, class string, execMS, ms float64, censored bool) {
+	if class != "" && (execMS > 0 || ms > 0) {
+		b.mu.Lock()
+		s := b.table[class]
+		if execMS > 0 {
+			s.execMS = ewma(s.execMS, execMS, g.cfg.Alpha, s.execMS == 0)
 		}
+		if ms > 0 && !(censored && s.rttN > 0 && ms <= s.rttMS) {
+			s.rttMS = ewma(s.rttMS, ms, g.cfg.Alpha, s.rttN == 0)
+			s.rttN++
+		}
+		b.table[class] = s
+		b.mu.Unlock()
 	}
-	return 0
+	if ms > 0 && !censored && g.cfg.Hedge.Enabled {
+		g.recordLat(class, ms)
+	}
 }
 
-// tcTable snapshots the learned table (for /v1/gate/table and metrics).
-func (b *backend) tcTable() map[string]float64 {
-	b.tcMu.Lock()
-	defer b.tcMu.Unlock()
-	out := make(map[string]float64, len(b.tc))
-	for k, v := range b.tc {
-		out[k] = v
+// ewma folds sample into old by alpha; a first sample is taken as it is.
+func ewma(old, sample, alpha float64, first bool) float64 {
+	if first {
+		return sample
+	}
+	return (1-alpha)*old + alpha*sample
+}
+
+// view copies out what one pick needs to know about the backend (see
+// the type, policy.go). probeEvery is Eject.Probe, 0 with the evaluator
+// off; class "" asks for no TC.
+func (b *backend) view(class string, probeEvery time.Duration, now time.Time) view {
+	b.mu.Lock()
+	v := view{
+		ready:    b.ready,
+		ejected:  b.ejected,
+		probeDue: probeEvery > 0 && b.ejected && now.Sub(b.lastProbe) >= probeEvery,
+		tc:       b.table[class].execMS,
+		load:     loadOf(b.polled, b.inflight.Load()),
+	}
+	if v.tc == 0 && b.polled != nil {
+		// The backend's own /v1/stats table is the cold-start seed.
+		v.tc = b.polled.Classes[class].ExecMS
+	}
+	b.mu.Unlock()
+	v.breaker = b.cl.BreakerState()
+	return v
+}
+
+// row copies out the backend's whole routing state (see the type,
+// policy.go).
+func (b *backend) row() row {
+	b.mu.Lock()
+	r := row{ready: b.ready, polled: b.polled, table: make(map[string]classStat, len(b.table)), ejectState: b.ejectState}
+	for class, s := range b.table {
+		r.table[class] = s
+	}
+	b.mu.Unlock()
+	r.breaker = b.cl.BreakerState()
+	return r
+}
+
+// tc is the learned TC table: class → exec EWMA in milliseconds.
+func (r row) tc() map[string]float64 {
+	out := make(map[string]float64, len(r.table))
+	for class, s := range r.table {
+		if s.execMS > 0 {
+			out[class] = s.execMS
+		}
 	}
 	return out
 }
 
-// load is the backend's queue-pressure estimate, normalized per worker:
+// loadOf is a backend's queue-pressure estimate, normalized per worker:
 // (run-queue depth + in-flight jobs) / workers. The polled in-flight is
 // up to PollInterval stale, so the gate's own count takes over when it
 // is higher (it cannot be lower for traffic the gate itself sent).
@@ -546,26 +582,10 @@ func (b *backend) tcTable() map[string]float64 {
 // the worker count) is what lets the gate spill a class off its
 // affinity-preferred backend before a queue has formed there, which
 // matters because the poll cadence is too coarse to see short bursts.
-func (b *backend) load() float64 {
-	local := float64(b.inflight.Load())
-	p := b.stats.Load()
+func loadOf(p *polled, local int64) float64 {
 	if p == nil {
-		return local
+		return float64(local)
 	}
-	inflight := float64(p.Inflight)
-	if local > inflight {
-		inflight = local
-	}
-	workers := float64(p.Workers)
-	if workers <= 0 {
-		workers = 1
-	}
-	return (float64(p.Queued) + inflight) / workers
-}
-
-// routable reports whether the backend should receive new work: the
-// last readiness poll succeeded and the breaker is not hard-open. A
-// half-open breaker stays routable — that route IS the recovery probe.
-func (b *backend) routable() bool {
-	return b.ready.Load() && b.cl.BreakerState() != client.BreakerOpen
+	workers := float64(max(p.Workers, 1))
+	return (float64(p.Queued) + float64(max(int64(p.Inflight), local))) / workers
 }

@@ -131,7 +131,7 @@ func TestGateReroutesUnavailableBackend(t *testing.T) {
 		t.Fatalf("sick breaker is %q, want open", st)
 	}
 	// The gate learned ok's exec latency from the passed-through bodies.
-	if tc := okB.tcFor("w"); tc < 4.9 || tc > 5.1 {
+	if tc := okB.view("w", 0, time.Time{}).tc; tc < 4.9 || tc > 5.1 {
 		t.Fatalf("learned TC %v, want ~5ms", tc)
 	}
 }

@@ -79,29 +79,27 @@ func goldenClients(t *testing.T, per int) [3][]*client.Client {
 }
 
 // goldenGate is a gate without pollers or evaluator over the given
-// backend states. A due probe is one never granted; one that is not due
-// was granted now, with an hour between probes.
+// backend states, on a clock that stands still. A due probe is one never
+// granted; one that is not due was granted now, with an hour between
+// probes.
 func goldenGate(policy Policy, eject EjectConfig, rr uint64, clients [3][]*client.Client, states []goldenBackend) *Gate {
+	now := time.Unix(1_000_000, 0)
 	g := &Gate{
-		cfg:     Config{Policy: policy, Alpha: 0.3, MaxAttempts: len(states), Eject: eject},
-		log:     slog.New(slog.NewTextHandler(discard{}, nil)),
-		classOf: map[string]string{},
-		lat:     map[string]*latRing{},
+		cfg:          Config{Policy: policy, Alpha: 0.3, MaxAttempts: len(states), Eject: eject},
+		weights:      resolveWeights(policy),
+		log:          slog.New(slog.NewTextHandler(discard{}, nil)),
+		now:          func() time.Time { return now },
+		hedgeWindows: map[string]*latRing{},
 	}
 	g.rr.Store(rr)
 	for i, s := range states {
-		b := &backend{name: string(rune('a' + i)), cl: clients[s.breaker][i], tc: map[string]float64{}, rtt: map[string]rttEWMA{}}
-		b.ready.Store(s.ready)
-		b.ejected.Store(s.ejected)
+		b := &backend{name: string(rune('a' + i)), cl: clients[s.breaker][i], ready: s.ready, polled: s.polled, table: map[string]classStat{}}
+		b.ejected = s.ejected
 		if !s.probeDue {
-			b.lastProbe = time.Now()
+			b.lastProbe = now
 		}
 		for class, ms := range s.tc {
-			b.tc[class] = ms
-		}
-		if s.polled != nil {
-			s.polled.at = time.Now()
-			b.stats.Store(s.polled)
+			b.table[class] = classStat{execMS: ms}
 		}
 		b.inflight.Store(s.inflight)
 		g.backends = append(g.backends, b)
@@ -123,18 +121,18 @@ func goldenPick(g *Gate, class string, tried []bool) string {
 }
 
 func goldenFeedRTT(g *Gate, i int, class string, ms float64, censored bool) {
-	g.backends[i].observeRTT(class, ms, censored, g.cfg.Alpha)
+	g.learn(g.backends[i], class, 0, ms, censored)
 }
 
-func goldenSetReady(g *Gate, i int, ready bool) { g.backends[i].ready.Store(ready) }
+func goldenSetReady(g *Gate, i int, ready bool) { g.backends[i].ready = ready }
 
-func goldenEjected(g *Gate, i int) bool { return g.backends[i].ejected.Load() }
+func goldenEjected(g *Gate, i int) bool { return g.backends[i].ejected }
 
 // goldenRTT is backend i's round-trip table: class → (EWMA ms, samples).
 func goldenRTT(g *Gate, i int) map[string][2]float64 {
 	out := map[string][2]float64{}
-	for class, e := range g.backends[i].rttTable() {
-		out[class] = [2]float64{e.ms, float64(e.n)}
+	for class, e := range g.backends[i].row().table {
+		out[class] = [2]float64{e.rttMS, float64(e.rttN)}
 	}
 	return out
 }

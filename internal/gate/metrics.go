@@ -81,106 +81,92 @@ func (b *backend) routedTotal() uint64 {
 	return n
 }
 
+// family declares one metric family in the exposition.
+func family(sb *strings.Builder, name, kind, help string) {
+	fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+}
+
+// byClass writes one backend's series of a per-class family, classes
+// sorted so that the exposition's order is stable.
+func byClass[V uint64 | float64](sb *strings.Builder, name, backend string, m map[string]V) {
+	classes := make([]string, 0, len(m))
+	for c := range m {
+		classes = append(classes, c)
+	}
+	sort.Strings(classes)
+	for _, c := range classes {
+		fmt.Fprintf(sb, "%s{backend=%q,class=%q} %v\n", name, backend, c, m[c])
+	}
+}
+
 // MetricsHandler serves the watsgate_* families in Prometheus text
-// exposition format.
+// exposition format, the per-backend ones from one Snapshot.
 func (g *Gate) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sb := &strings.Builder{}
+		snap := g.Snapshot()
+		perBackend := func(name, kind, help string, val func(BackendSnapshot) uint64) {
+			family(sb, name, kind, help)
+			for _, b := range snap {
+				fmt.Fprintf(sb, "%s{backend=%q} %d\n", name, b.Name, val(b))
+			}
+		}
+		flag := func(on bool) uint64 {
+			if on {
+				return 1
+			}
+			return 0
+		}
 
-		fmt.Fprintf(sb, "# HELP watsgate_requests_total Requests by proxied API surface.\n# TYPE watsgate_requests_total counter\n")
+		family(sb, "watsgate_requests_total", "counter", "Requests by proxied API surface.")
 		for i := 0; i < apiCount; i++ {
 			fmt.Fprintf(sb, "watsgate_requests_total{api=%q} %d\n", apiNames[i], g.requests[i].Load())
 		}
-
-		fmt.Fprintf(sb, "# HELP watsgate_routed_total Jobs routed, by backend and task class.\n# TYPE watsgate_routed_total counter\n")
-		for _, b := range g.backends {
-			classes := make([]string, 0, 8)
-			b.routedByClass.Range(func(k, _ any) bool {
-				classes = append(classes, k.(string))
-				return true
-			})
-			sort.Strings(classes)
-			for _, c := range classes {
-				v, _ := b.routedByClass.Load(c)
-				fmt.Fprintf(sb, "watsgate_routed_total{backend=%q,class=%q} %d\n", b.name, c, v.(*atomic.Uint64).Load())
+		family(sb, "watsgate_routed_total", "counter", "Jobs routed, by backend and task class.")
+		for _, b := range snap {
+			byClass(sb, "watsgate_routed_total", b.Name, b.RoutedByClass)
+		}
+		family(sb, "watsgate_outcomes_total", "counter", "Per-backend attempt outcomes.")
+		for _, b := range snap {
+			for _, o := range outcomeNames {
+				fmt.Fprintf(sb, "watsgate_outcomes_total{backend=%q,outcome=%q} %d\n", b.Name, o, b.Outcomes[o])
 			}
 		}
+		perBackend("watsgate_reroutes_total", "counter", "Attempts moved off a backend after a re-routable outcome (transport, 429, 503).",
+			func(b BackendSnapshot) uint64 { return b.Reroutes })
 
-		fmt.Fprintf(sb, "# HELP watsgate_outcomes_total Per-backend attempt outcomes.\n# TYPE watsgate_outcomes_total counter\n")
-		for _, b := range g.backends {
-			for i := 0; i < outcomeCount; i++ {
-				fmt.Fprintf(sb, "watsgate_outcomes_total{backend=%q,outcome=%q} %d\n", b.name, outcomeNames[i], b.outcomes[i].Load())
-			}
-		}
-
-		fmt.Fprintf(sb, "# HELP watsgate_reroutes_total Attempts moved off a backend after a re-routable outcome (transport, 429, 503).\n# TYPE watsgate_reroutes_total counter\n")
-		for _, b := range g.backends {
-			fmt.Fprintf(sb, "watsgate_reroutes_total{backend=%q} %d\n", b.name, b.reroutes.Load())
-		}
-
-		fmt.Fprintf(sb, "# HELP watsgate_hedges_total Hedge attempts launched (defend.go).\n# TYPE watsgate_hedges_total counter\n")
-		fmt.Fprintf(sb, "watsgate_hedges_total %d\n", g.hedges.Load())
-		fmt.Fprintf(sb, "# HELP watsgate_hedge_wins_total Hedge attempts whose answer won the race.\n# TYPE watsgate_hedge_wins_total counter\n")
-		fmt.Fprintf(sb, "watsgate_hedge_wins_total %d\n", g.hedgeWins.Load())
-		fmt.Fprintf(sb, "# HELP watsgate_retry_budget_denied_total Extra dispatches refused by the empty retry budget.\n# TYPE watsgate_retry_budget_denied_total counter\n")
-		fmt.Fprintf(sb, "watsgate_retry_budget_denied_total %d\n", g.budgetDenied.Load())
-		fmt.Fprintf(sb, "# HELP watsgate_reroute_launches_total Budgeted re-route dispatches (unary and batch).\n# TYPE watsgate_reroute_launches_total counter\n")
-		fmt.Fprintf(sb, "watsgate_reroute_launches_total %d\n", g.rerouteLaunches.Load())
-
-		fmt.Fprintf(sb, "# HELP watsgate_backend_ejected Latency outlier ejection state (1 probe-only, 0 in rotation).\n# TYPE watsgate_backend_ejected gauge\n")
-		for _, b := range g.backends {
-			v := 0
-			if b.ejected.Load() {
-				v = 1
-			}
-			fmt.Fprintf(sb, "watsgate_backend_ejected{backend=%q} %d\n", b.name, v)
-		}
-		fmt.Fprintf(sb, "# HELP watsgate_ejections_total Times each backend was ejected as a latency outlier.\n# TYPE watsgate_ejections_total counter\n")
-		for _, b := range g.backends {
-			fmt.Fprintf(sb, "watsgate_ejections_total{backend=%q} %d\n", b.name, b.ejections.Load())
-		}
-		fmt.Fprintf(sb, "# HELP watsgate_probes_total Probe requests routed to ejected backends.\n# TYPE watsgate_probes_total counter\n")
-		for _, b := range g.backends {
-			fmt.Fprintf(sb, "watsgate_probes_total{backend=%q} %d\n", b.name, b.probes.Load())
-		}
-		fmt.Fprintf(sb, "# HELP watsgate_backend_rtt_ewma_ms Gate-observed round-trip EWMA by backend and class, milliseconds.\n# TYPE watsgate_backend_rtt_ewma_ms gauge\n")
-		for _, b := range g.backends {
-			rtt := b.rttTable()
-			classes := make([]string, 0, len(rtt))
-			for c := range rtt {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				fmt.Fprintf(sb, "watsgate_backend_rtt_ewma_ms{backend=%q,class=%q} %g\n", b.name, c, rtt[c].ms)
-			}
+		for _, c := range []struct {
+			name, help string
+			v          *atomic.Uint64
+		}{
+			{"watsgate_hedges_total", "Hedge attempts launched (defend.go).", &g.hedges},
+			{"watsgate_hedge_wins_total", "Hedge attempts whose answer won the race.", &g.hedgeWins},
+			{"watsgate_retry_budget_denied_total", "Extra dispatches refused by the empty retry budget.", &g.budgetDenied},
+			{"watsgate_reroute_launches_total", "Budgeted re-route dispatches (unary and batch).", &g.rerouteLaunches},
+		} {
+			family(sb, c.name, "counter", c.help)
+			fmt.Fprintf(sb, "%s %d\n", c.name, c.v.Load())
 		}
 
-		fmt.Fprintf(sb, "# HELP watsgate_backend_ready Last readiness poll result (1 ready, 0 not).\n# TYPE watsgate_backend_ready gauge\n")
-		for _, b := range g.backends {
-			v := 0
-			if b.ready.Load() {
-				v = 1
-			}
-			fmt.Fprintf(sb, "watsgate_backend_ready{backend=%q} %d\n", b.name, v)
+		perBackend("watsgate_backend_ejected", "gauge", "Latency outlier ejection state (1 probe-only, 0 in rotation).",
+			func(b BackendSnapshot) uint64 { return flag(b.Ejected) })
+		perBackend("watsgate_ejections_total", "counter", "Times each backend was ejected as a latency outlier.",
+			func(b BackendSnapshot) uint64 { return b.Ejections })
+		perBackend("watsgate_probes_total", "counter", "Probe requests routed to ejected backends.",
+			func(b BackendSnapshot) uint64 { return b.Probes })
+		family(sb, "watsgate_backend_rtt_ewma_ms", "gauge", "Gate-observed round-trip EWMA by backend and class, milliseconds.")
+		for _, b := range snap {
+			byClass(sb, "watsgate_backend_rtt_ewma_ms", b.Name, b.RTT)
 		}
-
-		fmt.Fprintf(sb, "# HELP watsgate_backend_inflight Gate-side in-flight requests per backend.\n# TYPE watsgate_backend_inflight gauge\n")
+		perBackend("watsgate_backend_ready", "gauge", "Last readiness poll result (1 ready, 0 not).",
+			func(b BackendSnapshot) uint64 { return flag(b.Ready) })
+		family(sb, "watsgate_backend_inflight", "gauge", "Gate-side in-flight requests per backend.")
 		for _, b := range g.backends {
 			fmt.Fprintf(sb, "watsgate_backend_inflight{backend=%q} %d\n", b.name, b.inflight.Load())
 		}
-
-		fmt.Fprintf(sb, "# HELP watsgate_class_exec_ewma_ms Learned cluster TC table: per-backend exec-latency EWMA by class, milliseconds.\n# TYPE watsgate_class_exec_ewma_ms gauge\n")
-		for _, b := range g.backends {
-			tc := b.tcTable()
-			classes := make([]string, 0, len(tc))
-			for c := range tc {
-				classes = append(classes, c)
-			}
-			sort.Strings(classes)
-			for _, c := range classes {
-				fmt.Fprintf(sb, "watsgate_class_exec_ewma_ms{backend=%q,class=%q} %g\n", b.name, c, tc[c])
-			}
+		family(sb, "watsgate_class_exec_ewma_ms", "gauge", "Learned cluster TC table: per-backend exec-latency EWMA by class, milliseconds.")
+		for _, b := range snap {
+			byClass(sb, "watsgate_class_exec_ewma_ms", b.Name, b.TC)
 		}
 
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")

@@ -13,7 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -88,10 +87,10 @@ func setAttempts(h http.Header, launched int) {
 // attemptResult is one backend attempt's outcome as seen by the hedged
 // dispatch loop.
 type attemptResult struct {
-	b   *backend
-	res client.Result
-	err error
-	rtt time.Duration
+	b     *backend
+	res   client.Result
+	err   error
+	rttMS float64
 	// cancelled: the gate cancelled this attempt itself (it lost the
 	// hedge race) — distinct from the caller disappearing.
 	cancelled bool
@@ -153,7 +152,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			res, err := b.cl.SubmitJob(actx, body)
 			b.inflight.Add(-1)
 			outc <- attemptResult{
-				b: b, res: res, err: err, rtt: time.Since(t0),
+				b: b, res: res, err: err, rttMS: float64(time.Since(t0)) / float64(time.Millisecond),
 				cancelled: err != nil && actx.Err() == context.Canceled && r.Context().Err() == nil,
 				hedge:     hedge,
 			}
@@ -207,13 +206,13 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if o.cancelled {
 				// Hedge loser: its elapsed time is a lower bound on what
 				// waiting for it would have cost.
-				o.b.observeRTT(class, float64(o.rtt)/float64(time.Millisecond), true, g.cfg.Alpha)
+				g.learn(o.b, class, 0, o.rttMS, true)
 				continue
 			}
 			if o.err != nil {
 				o.b.outcomes[outcomeTransport].Add(1)
 				o.b.reroutes.Add(1)
-				o.b.observeRTT(class, float64(o.rtt)/float64(time.Millisecond), true, g.cfg.Alpha)
+				g.learn(o.b, class, 0, o.rttMS, true)
 				if r.Context().Err() != nil {
 					if pending == 0 {
 						httpError(w, http.StatusBadGateway, "canceled: %v", o.err)
@@ -229,7 +228,13 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				}
 				continue
 			}
-			g.observeAttempt(o.b, class, o.rtt)
+			// One fold per answered attempt: its round trip, and the TC
+			// sample a completed job's answer carries.
+			execMS := 0.0
+			if o.res.StatusCode == http.StatusOK {
+				execMS, _ = wire.PeekExecMS(o.res.Body)
+			}
+			g.learn(o.b, class, execMS, o.rttMS, false)
 			o.b.outcomes[outcomeFor(o.res.StatusCode)].Add(1)
 			if retryableStatus(o.res.StatusCode) {
 				last, haveLast = o.res, true
@@ -257,7 +262,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if hedged {
 				w.Header().Set(HeaderHedged, "1")
 			}
-			g.finishUnary(w, o.b, class, req.Async, o.res)
+			g.finishUnary(w, o.b, req.Async, o.res)
 			return
 		}
 	}
@@ -285,37 +290,22 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) drainLosers(outc <-chan attemptResult, n int, class string) {
 	for i := 0; i < n; i++ {
 		o := <-outc
-		ms := float64(o.rtt) / float64(time.Millisecond)
 		if o.cancelled || o.err != nil {
-			o.b.observeRTT(class, ms, true, g.cfg.Alpha)
+			g.learn(o.b, class, 0, o.rttMS, true)
 			continue
 		}
 		// Photo-finish: the loser completed before the cancel landed.
 		// Count its outcome and full RTT; the response is discarded.
 		o.b.outcomes[outcomeFor(o.res.StatusCode)].Add(1)
-		g.observeAttempt(o.b, class, o.rtt)
+		g.learn(o.b, class, 0, o.rttMS, false)
 	}
 }
 
-// observeAttempt feeds one full (non-censored) round trip into both
-// defense signal paths: the backend's RTT EWMA (ejection) and the
-// class's latency ring (hedge delay).
-func (g *Gate) observeAttempt(b *backend, class string, rtt time.Duration) {
-	ms := float64(rtt) / float64(time.Millisecond)
-	b.observeRTT(class, ms, false, g.cfg.Alpha)
-	g.recordLat(class, ms)
-}
-
-// finishUnary passes a final backend answer through: learn the TC
-// sample from a completed job, and fold the backend name into an async
-// 202's job id so the poll endpoint can route it back.
-func (g *Gate) finishUnary(w http.ResponseWriter, b *backend, class string, async bool, res client.Result) {
+// finishUnary passes a final backend answer through, with the backend
+// name folded into an async 202's job id so the poll endpoint can route
+// it back.
+func (g *Gate) finishUnary(w http.ResponseWriter, b *backend, async bool, res client.Result) {
 	body := res.Body
-	if res.StatusCode == http.StatusOK {
-		if execMS, ok := wire.PeekExecMS(body); ok {
-			b.observe(class, execMS, g.cfg.Alpha)
-		}
-	}
 	if async && res.StatusCode == http.StatusAccepted {
 		if rw, ok := prefixID(body, b.name); ok {
 			body = rw
@@ -399,12 +389,12 @@ func prefixID(body []byte, name string) ([]byte, bool) {
 
 // gbItem is one batch slot mid-flight through the rounds loop.
 type gbItem struct {
-	raw        json.RawMessage   // the submitted job body
-	class      string            // resolved task class
-	tried      map[*backend]bool // backends this item already visited
-	final      json.RawMessage   // non-nil: done, pass through verbatim
-	lastRaw    json.RawMessage   // last retryable per-item result (passthrough on exhaustion)
-	lastCode   int               // last retryable code (whole-batch rejections have no raw)
+	raw        json.RawMessage // the submitted job body
+	class      string          // resolved task class
+	tried      []bool          // backends this item already visited, by position
+	final      json.RawMessage // non-nil: done, pass through verbatim
+	lastRaw    json.RawMessage // last retryable per-item result (passthrough on exhaustion)
+	lastCode   int             // last retryable code (whole-batch rejections have no raw)
 	retryAfter time.Duration
 }
 
@@ -417,8 +407,8 @@ func (g *Gate) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []json.RawMessage `json:"jobs"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, wire.MaxBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(wire.Bounded(w, r)).Decode(&req); err != nil {
+		httpError(w, wire.BodyErrorStatus(err), "bad request body: %v", err)
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -426,16 +416,13 @@ func (g *Gate) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]gbItem, len(req.Jobs))
+	n := len(g.backends)
+	tried := make([]bool, len(items)*n) // every item's tried set, side by side
 	for i, raw := range req.Jobs {
-		var peek struct {
-			Workload string `json:"workload"`
-		}
-		_ = json.Unmarshal(raw, &peek)
-		items[i] = gbItem{
-			raw:   raw,
-			class: g.classFor([]byte(peek.Workload)),
-			tried: make(map[*backend]bool, 2),
-		}
+		// An item that does not decode is still routed, on what did, so
+		// that the backend's own validation error comes back in its slot.
+		job, _ := wire.DecodeJob(raw)
+		items[i] = gbItem{raw: raw, class: g.classFor(job.Workload), tried: tried[i*n : (i+1)*n]}
 	}
 
 	for round := 0; round < g.cfg.MaxAttempts; round++ {
@@ -448,7 +435,7 @@ func (g *Gate) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if it.final != nil {
 				continue
 			}
-			b := g.pick(it.class, it.tried)
+			b := g.pickUntried(it.class, it.tried)
 			if b == nil {
 				continue
 			}
@@ -462,7 +449,7 @@ func (g *Gate) handleBatch(w http.ResponseWriter, r *http.Request) {
 			} else if !g.takeRetry(false) {
 				continue
 			}
-			it.tried[b] = true
+			it.tried[slices.Index(g.backends, b)] = true
 			groups[b] = append(groups[b], i)
 		}
 		if len(groups) == 0 {
@@ -587,7 +574,7 @@ func (g *Gate) subBatch(r *http.Request, b *backend, items []gbItem, idxs []int)
 			continue
 		}
 		if peek.Code == http.StatusOK {
-			b.observe(items[i].class, peek.ExecMS, g.cfg.Alpha)
+			g.learn(b, items[i].class, peek.ExecMS, 0, false)
 		}
 		items[i].final = raw
 	}
@@ -598,7 +585,7 @@ func (g *Gate) subBatch(r *http.Request, b *backend, items []gbItem, idxs []int)
 
 func (g *Gate) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.backends {
-		if !b.routable() {
+		if !b.view("", 0, time.Time{}).routable() {
 			continue
 		}
 		res, err := b.cl.Do(r.Context(), http.MethodGet, "/v1/workloads", nil)
@@ -630,19 +617,20 @@ type backendView struct {
 func (g *Gate) backendViews(withTC bool) []backendView {
 	out := make([]backendView, 0, len(g.backends))
 	for _, b := range g.backends {
+		r := b.row()
 		v := backendView{
 			Name: b.name, URL: b.url,
-			Ready:    b.ready.Load(),
-			Breaker:  b.cl.BreakerState(),
+			Ready:    r.ready,
+			Breaker:  r.breaker,
 			Inflight: b.inflight.Load(),
-			Load:     b.load(),
 			Routed:   b.routedTotal(),
 		}
-		if p := b.stats.Load(); p != nil {
-			v.Queued, v.Workers = p.Queued, p.Workers
+		v.Load = loadOf(r.polled, v.Inflight)
+		if r.polled != nil {
+			v.Queued, v.Workers = r.polled.Queued, r.polled.Workers
 		}
 		if withTC {
-			v.TC = b.tcTable()
+			v.TC = r.tc()
 		}
 		out = append(out, v)
 	}
@@ -658,7 +646,7 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gate) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.backends {
-		if b.routable() {
+		if b.view("", 0, time.Time{}).routable() {
 			writeJSON(w, map[string]any{"status": "ready"})
 			return
 		}

@@ -8,12 +8,10 @@ package gate
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
-
-	"wats/internal/client"
+	"time"
 )
 
 // Policy kinds.
@@ -119,160 +117,38 @@ func ParseScorers(s string) (map[string]float64, error) {
 	return out, nil
 }
 
-// stackBackends is the cluster size up to which one pick's scratch
-// (tried flags, eligible set, TC values) stays on the stack.
-const stackBackends = 8
-
-// pick is pickUntried for a tried set keyed by backend, as the batch
-// path keeps one per item.
-func (g *Gate) pick(class string, tried map[*backend]bool) *backend {
-	var arr [stackBackends]bool
-	mask := arr[:]
-	if len(g.backends) > len(mask) {
-		mask = make([]bool, len(g.backends))
-	}
-	for i, b := range g.backends {
-		mask[i] = tried[b]
-	}
-	return g.pickUntried(class, mask)
-}
-
 // pickUntried chooses the backend for one job of the given class,
 // excluding those whose position in g.backends is flagged in tried (the
 // job's re-route set; a slice so that a caller can keep it on its
-// stack). Unroutable backends (not ready, or breaker hard-open) and
-// ejected ones are excluded too — unless that excludes everyone untried,
-// in which case the policy falls back through ejected backends first
-// and then to any untried backend:
-// when the whole cluster looks dead, someone has to carry the probe
-// that discovers recovery. Returns nil when every backend has been
-// tried.
-//
-// Ejected backends re-enter half-open-style: a primary pick (empty
-// tried set) routes to an ejected-but-due backend directly, at most
-// once per Eject.Probe interval. The probe must be forced — an ejected
-// backend can never win a score-based pick, so without this it would be
-// starved of the very traffic that could prove its recovery. Hedging
-// (when enabled) protects the probe's caller from a still-slow answer.
+// stack); nil when every backend has been tried. It copies one view out
+// of each backend, lets choose (policy.go) decide, and commits what the
+// decision consumed: the round-robin cursor, or the probe slot of an
+// ejected backend — at most one per Eject.Probe. A commit lost to a
+// concurrent pick is chosen again without it.
 func (g *Gate) pickUntried(class string, tried []bool) *backend {
-	if g.cfg.Eject.Enabled && !slices.Contains(tried, true) {
-		for _, b := range g.backends {
-			if b.ejected.Load() && b.routable() && b.grantProbe(g.cfg.Eject.Probe) {
-				return b
+	var now time.Time
+	var probeEvery time.Duration
+	if g.cfg.Eject.Enabled {
+		now, probeEvery = g.now(), g.cfg.Eject.Probe
+	}
+	var arr [stackBackends]view
+	views := arr[:0]
+	for _, b := range g.backends {
+		views = append(views, b.view(class, probeEvery, now))
+	}
+	for {
+		rr := g.rr.Load()
+		idx, probe := choose(g.weights, g.cfg.Policy.Kind, views, tried, rr)
+		switch {
+		case idx < 0:
+			return nil
+		case probe:
+			if g.backends[idx].takeProbe(now, probeEvery) {
+				return g.backends[idx]
 			}
+			views[idx].probeDue = false
+		case g.cfg.Policy.Kind != PolicyRoundRobin || g.rr.CompareAndSwap(rr, rr+1):
+			return g.backends[idx]
 		}
 	}
-	var eligArr [stackBackends]*backend
-	elig := eligArr[:0]
-	for i, b := range g.backends {
-		if !tried[i] && b.routable() && !b.ejected.Load() {
-			elig = append(elig, b)
-		}
-	}
-	if len(elig) == 0 {
-		for i, b := range g.backends {
-			if !tried[i] && b.routable() {
-				elig = append(elig, b)
-			}
-		}
-	}
-	if len(elig) == 0 {
-		for i, b := range g.backends {
-			if !tried[i] {
-				elig = append(elig, b)
-			}
-		}
-	}
-	if len(elig) == 0 {
-		return nil
-	}
-	switch g.cfg.Policy.Kind {
-	case PolicyRoundRobin:
-		return elig[int(g.rr.Add(1)-1)%len(elig)]
-	case PolicyLeastLoad:
-		best := elig[0]
-		bestLoad := best.load()
-		for _, b := range elig[1:] {
-			if l := b.load(); l < bestLoad {
-				best, bestLoad = b, l
-			}
-		}
-		return best
-	default:
-		return g.pickWeighted(class, elig)
-	}
-}
-
-// pickWeighted scores each eligible backend on [0, 1] per scorer and
-// takes the best weighted sum. Per-scorer semantics:
-//
-//   - class-affinity: bestTC / tc_b — the backend with the lowest
-//     learned exec EWMA for this class scores 1, a backend k× slower
-//     scores 1/k. Backends with no signal for the class score slightly
-//     above 1 (optimism in the face of uncertainty: an unexplored
-//     backend must beat the incumbent's tie, or sequential load would
-//     pin every class to whichever backend happened to learn first).
-//   - queue-depth: 1 / (1 + load), load = (queued + in-flight) /
-//     workers. An idle backend scores 1; each outstanding
-//     job-per-worker halves the remaining margin. Raw load rather than
-//     only over-capacity excess: the stats poll is too coarse to catch
-//     short bursts, so by the time a queue is visible the tail damage
-//     is done — counting in-flight work spills the overflow early.
-//   - health: closed breaker = 1, half-open = 0.5 (it may carry one
-//     probe but should not win ties against a known-good node),
-//     open/not-ready = 0 (only reachable via the all-excluded
-//     fallback).
-//
-// Ties break toward configuration order, which keeps tests and demos
-// deterministic.
-func (g *Gate) pickWeighted(class string, elig []*backend) *backend {
-	// Best (lowest) TC across eligible backends normalizes affinity.
-	bestTC := 0.0
-	var tcsArr [stackBackends]float64
-	tcs := tcsArr[:0]
-	for _, b := range elig {
-		tc := b.tcFor(class)
-		tcs = append(tcs, tc)
-		if tc > 0 && (bestTC == 0 || tc < bestTC) {
-			bestTC = tc
-		}
-	}
-	w := g.cfg.Policy.Weights
-	var best *backend
-	bestScore := -1.0
-	for i, b := range elig {
-		score := 0.0
-		if wa := w[ScorerAffinity]; wa > 0 {
-			aff := 1.05 // unknown class on this backend: optimistic (see above)
-			if tcs[i] > 0 && bestTC > 0 {
-				aff = bestTC / tcs[i]
-			}
-			score += wa * aff
-		}
-		if wq := w[ScorerQueue]; wq > 0 {
-			score += wq / (1 + b.load())
-		}
-		if wh := w[ScorerHealth]; wh > 0 {
-			h := 0.0
-			if b.ready.Load() {
-				switch b.cl.BreakerState() {
-				case client.BreakerClosed:
-					h = 1
-				case client.BreakerHalfOpen:
-					h = 0.5
-				}
-			}
-			score += wh * h
-		}
-		if we := w[ScorerEjection]; we > 0 && !b.ejected.Load() {
-			// Non-ejected backends get the full ejection score; ejected
-			// ones score 0, which only matters on the all-excluded
-			// fallback path (normal picks exclude them before scoring).
-			score += we
-		}
-		if score > bestScore {
-			best, bestScore = b, score
-		}
-	}
-	return best
 }

@@ -1,7 +1,9 @@
 package gate
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"wats/internal/client"
 )
@@ -57,20 +59,28 @@ func TestPolicyValidate(t *testing.T) {
 }
 
 // scoreEnv builds a Gate with hand-set backend state and no pollers —
-// pure pick() unit tests.
+// pick unit tests on a single goroutine, which is why they write the
+// state under backend.mu without taking it.
 func scoreEnv(t *testing.T, policy Policy, n int) *Gate {
 	t.Helper()
-	g := &Gate{cfg: Config{Policy: policy, Alpha: 0.3, MaxAttempts: n}, classOf: map[string]string{}}
+	g := &Gate{cfg: Config{Policy: policy, Alpha: 0.3, MaxAttempts: n}, weights: resolveWeights(policy), now: time.Now}
 	for i := 0; i < n; i++ {
 		cl, err := client.New(client.Config{BaseURL: "http://127.0.0.1:1"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := &backend{name: string(rune('a' + i)), cl: cl, tc: map[string]float64{}}
-		b.ready.Store(true)
-		g.backends = append(g.backends, b)
+		g.backends = append(g.backends, &backend{name: string(rune('a' + i)), cl: cl, ready: true, table: map[string]classStat{}})
 	}
 	return g
+}
+
+// pick is pickUntried with the tried set given as backends.
+func pick(g *Gate, class string, tried ...*backend) *backend {
+	mask := make([]bool, len(g.backends))
+	for _, b := range tried {
+		mask[slices.Index(g.backends, b)] = true
+	}
+	return g.pickUntried(class, mask)
 }
 
 // TestPickWeightedAffinity: once the TC table knows a class, the
@@ -78,14 +88,14 @@ func scoreEnv(t *testing.T, policy Policy, n int) *Gate {
 // latency, even when that backend is listed last.
 func TestPickWeightedAffinity(t *testing.T) {
 	g := scoreEnv(t, Policy{Kind: PolicyWeighted, Weights: DefaultScorers()}, 3)
-	g.backends[0].tc["heavy"] = 40
-	g.backends[1].tc["heavy"] = 25
-	g.backends[2].tc["heavy"] = 10
-	if b := g.pick("heavy", nil); b != g.backends[2] {
+	g.backends[0].table["heavy"] = classStat{execMS: 40}
+	g.backends[1].table["heavy"] = classStat{execMS: 25}
+	g.backends[2].table["heavy"] = classStat{execMS: 10}
+	if b := pick(g, "heavy"); b != g.backends[2] {
 		t.Fatalf("picked %q, want the fastest backend c", b.name)
 	}
 	// Excluding the winner falls through to the next-best.
-	if b := g.pick("heavy", map[*backend]bool{g.backends[2]: true}); b != g.backends[1] {
+	if b := pick(g, "heavy", g.backends[2]); b != g.backends[1] {
 		t.Fatalf("picked %q, want b", b.name)
 	}
 }
@@ -95,8 +105,8 @@ func TestPickWeightedAffinity(t *testing.T) {
 // learned under sequential load.
 func TestPickWeightedExploresUnknown(t *testing.T) {
 	g := scoreEnv(t, Policy{Kind: PolicyWeighted, Weights: DefaultScorers()}, 2)
-	g.backends[0].tc["heavy"] = 10 // the incumbent: learned, fast
-	if b := g.pick("heavy", nil); b != g.backends[1] {
+	g.backends[0].table["heavy"] = classStat{execMS: 10} // the incumbent: learned, fast
+	if b := pick(g, "heavy"); b != g.backends[1] {
 		t.Fatalf("picked %q, want the unexplored backend b", b.name)
 	}
 }
@@ -105,10 +115,10 @@ func TestPickWeightedExploresUnknown(t *testing.T) {
 // queue-depth scorer steers to the idler backend.
 func TestPickWeightedQueuePressure(t *testing.T) {
 	g := scoreEnv(t, Policy{Kind: PolicyWeighted, Weights: DefaultScorers()}, 2)
-	g.backends[0].tc["heavy"] = 10
-	g.backends[1].tc["heavy"] = 10
+	g.backends[0].table["heavy"] = classStat{execMS: 10}
+	g.backends[1].table["heavy"] = classStat{execMS: 10}
 	g.backends[0].inflight.Store(64)
-	if b := g.pick("heavy", nil); b != g.backends[1] {
+	if b := pick(g, "heavy"); b != g.backends[1] {
 		t.Fatalf("picked %q, want the idle backend b", b.name)
 	}
 }
@@ -118,17 +128,17 @@ func TestPickWeightedQueuePressure(t *testing.T) {
 // (someone has to probe a cluster that looks dead).
 func TestPickExcludesUnready(t *testing.T) {
 	g := scoreEnv(t, Policy{Kind: PolicyWeighted, Weights: DefaultScorers()}, 2)
-	g.backends[0].ready.Store(false)
+	g.backends[0].ready = false
 	for i := 0; i < 5; i++ {
-		if b := g.pick("x", nil); b != g.backends[1] {
+		if b := pick(g, "x"); b != g.backends[1] {
 			t.Fatalf("picked unready backend %q", b.name)
 		}
 	}
-	g.backends[1].ready.Store(false)
-	if b := g.pick("x", nil); b == nil {
+	g.backends[1].ready = false
+	if b := pick(g, "x"); b == nil {
 		t.Fatal("all-dead cluster must still pick a probe target")
 	}
-	if b := g.pick("x", map[*backend]bool{g.backends[0]: true, g.backends[1]: true}); b != nil {
+	if b := pick(g, "x", g.backends[0], g.backends[1]); b != nil {
 		t.Fatalf("everything tried, still picked %q", b.name)
 	}
 }
@@ -139,7 +149,7 @@ func TestPickRoundRobinSpreads(t *testing.T) {
 	g := scoreEnv(t, Policy{Kind: PolicyRoundRobin}, 3)
 	counts := map[*backend]int{}
 	for i := 0; i < 30; i++ {
-		counts[g.pick("x", nil)]++
+		counts[pick(g, "x")]++
 	}
 	for _, b := range g.backends {
 		if counts[b] != 10 {
@@ -155,7 +165,7 @@ func TestPickLeastLoaded(t *testing.T) {
 	g.backends[0].inflight.Store(5)
 	g.backends[1].inflight.Store(1)
 	g.backends[2].inflight.Store(9)
-	if b := g.pick("x", nil); b != g.backends[1] {
+	if b := pick(g, "x"); b != g.backends[1] {
 		t.Fatalf("picked %q, want the least-loaded backend b", b.name)
 	}
 }
