@@ -100,11 +100,11 @@ func byClass[V uint64 | float64](sb *strings.Builder, name, backend string, m ma
 }
 
 // MetricsHandler serves the watsgate_* families in Prometheus text
-// exposition format, the per-backend ones from one Snapshot.
+// exposition format.
 func (g *Gate) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sb := &strings.Builder{}
-		snap := g.Snapshot()
+		snap := g.Snapshot() // one copy of every backend's state for all the families below
 		perBackend := func(name, kind, help string, val func(BackendSnapshot) uint64) {
 			family(sb, name, kind, help)
 			for _, b := range snap {

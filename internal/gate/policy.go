@@ -4,6 +4,7 @@
 // returns a decision — no receiver, no lock, no clock, no logger — so
 // the callers in score.go, eject.go and defend.go are snapshot → pure
 // call → commit, and a simulated cluster can call the same code.
+
 package gate
 
 import (
