@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -87,7 +88,7 @@ func goldenGate(policy Policy, eject EjectConfig, rr uint64, clients [3][]*clien
 	g := &Gate{
 		cfg:          Config{Policy: policy, Alpha: 0.3, MaxAttempts: len(states), Eject: eject},
 		weights:      resolveWeights(policy),
-		log:          slog.New(slog.NewTextHandler(discard{}, nil)),
+		log:          slog.New(slog.NewTextHandler(io.Discard, nil)),
 		now:          func() time.Time { return now },
 		hedgeWindows: map[string]*latRing{},
 	}
@@ -106,10 +107,6 @@ func goldenGate(policy Policy, eject EjectConfig, rr uint64, clients [3][]*clien
 	}
 	return g
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // goldenPick is one routing decision: the chosen backend's name, "-"
 // when every backend has been tried.

@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"io"
 	"log/slog"
 	"math"
 	"reflect"
@@ -206,7 +207,7 @@ func TestHedgeDelayOf(t *testing.T) {
 func TestRoutingStateUnderRace(t *testing.T) {
 	const probe = time.Millisecond
 	g := ejectEnv(t, 3, EjectConfig{Enabled: true, Factor: 3, Window: time.Millisecond, Probe: probe, MinSamples: 3, RecoverFactor: 0.7})
-	g.log = slog.New(slog.NewTextHandler(discard{}, nil))
+	g.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	const iters = 2000
 	var wg sync.WaitGroup
 	run := func(f func(i int)) {
