@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-sched bench-sim bench-serve bench-stack bench-smoke accept profile-serve figures trace-demo serve-demo chaos-demo twin-demo vulncheck
+.PHONY: check fmt vet build loc test race bench bench-sched bench-sim bench-serve bench-stack bench-smoke accept profile-serve figures trace-demo serve-demo chaos-demo twin-demo vulncheck
 
 # check is the CI gate: gofmt + vet + build + full tests + race pass over
 # the concurrent packages (live runtime, lock-free deques, event rings).
@@ -14,6 +14,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# loc prints the one definition of the line counts that ROADMAP.md,
+# CHANGES.md and BENCH_history.ndjson quote: non-test Go lines in the
+# module, then in the two packages the serving-path items work on.
+loc:
+	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@for p in internal/gate internal/client; do \
+		printf '%s: %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 
 test:
 	$(GO) test ./...

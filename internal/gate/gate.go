@@ -102,16 +102,13 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9_-]+$`)
 // the separator, so the split is unambiguous.
 const idSep = "."
 
-// polled is one backend's last successful /v1/stats snapshot, immutable
-// once stored.
+// polled is what routing reads of one backend's last successful
+// /v1/stats answer, immutable once stored.
 type polled struct {
-	Workers     int                      `json:"workers"`
-	Queued      int                      `json:"queued"`
-	MaxQueued   int                      `json:"max_queued"`
-	Inflight    int                      `json:"inflight"`
-	MaxInflight int                      `json:"max_inflight"`
-	Draining    bool                     `json:"draining"`
-	Classes     map[string]obs.ClassEWMA `json:"classes"`
+	Workers  int                      `json:"workers"`
+	Queued   int                      `json:"queued"`
+	Inflight int                      `json:"inflight"`
+	Classes  map[string]obs.ClassEWMA `json:"classes"`
 }
 
 // backend is one watsd node plus everything the gate knows about it.

@@ -181,6 +181,16 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var last client.Result
 	haveLast := false
 	pending := 1
+	// reroute moves the job to the next untried backend once nothing else
+	// is in flight for it, while attempts and the retry budget last.
+	reroute := func() {
+		if pending == 0 && launched < g.cfg.MaxAttempts {
+			if b := g.pickUntried(class, tried); b != nil && g.takeRetry(false) {
+				launch(b, false)
+				pending++
+			}
+		}
+	}
 	callerGone := r.Context().Done()
 	for pending > 0 {
 		select {
@@ -203,16 +213,16 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			pending++
 		case o := <-outc:
 			pending--
-			if o.cancelled {
-				// Hedge loser: its elapsed time is a lower bound on what
-				// waiting for it would have cost.
-				g.learn(o.b, class, 0, o.rttMS, true)
-				continue
-			}
 			if o.err != nil {
+				// No answer: the elapsed time is a lower bound on what
+				// waiting for one would have cost. A hedge loser the gate
+				// cancelled itself is nothing more than that.
+				g.learn(o.b, class, 0, o.rttMS, true)
+				if o.cancelled {
+					continue
+				}
 				o.b.outcomes[outcomeTransport].Add(1)
 				o.b.reroutes.Add(1)
-				g.learn(o.b, class, 0, o.rttMS, true)
 				if r.Context().Err() != nil {
 					if pending == 0 {
 						httpError(w, http.StatusBadGateway, "canceled: %v", o.err)
@@ -220,12 +230,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 					}
 					continue
 				}
-				if pending == 0 && launched < g.cfg.MaxAttempts {
-					if b := g.pickUntried(class, tried); b != nil && g.takeRetry(false) {
-						launch(b, false)
-						pending++
-					}
-				}
+				reroute()
 				continue
 			}
 			// One fold per answered attempt: its round trip, and the TC
@@ -239,12 +244,7 @@ func (g *Gate) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if retryableStatus(o.res.StatusCode) {
 				last, haveLast = o.res, true
 				o.b.reroutes.Add(1)
-				if pending == 0 && launched < g.cfg.MaxAttempts {
-					if b := g.pickUntried(class, tried); b != nil && g.takeRetry(false) {
-						launch(b, false)
-						pending++
-					}
-				}
+				reroute()
 				continue
 			}
 			// First final answer wins: cancel the rest and drain them
