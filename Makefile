@@ -19,9 +19,8 @@ build:
 # CHANGES.md and BENCH_history.ndjson quote: non-test Go lines in the
 # module, then in the two packages the serving-path items work on.
 loc:
-	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
-	@for p in internal/gate internal/client; do \
-		printf '%s: %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
+	@for p in . internal/gate internal/client; do \
+		printf 'non-test Go lines in %s: %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 
 test:
 	$(GO) test ./...
