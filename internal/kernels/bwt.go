@@ -1,65 +1,87 @@
 package kernels
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 )
 
-// BWT computes the Burrows-Wheeler transform of data using suffix sorting
-// with prefix doubling (O(n log^2 n)), returning the transformed bytes and
-// the primary index needed for inversion. An implicit unique sentinel is
-// not used; instead the rotation order follows the classic full-rotation
-// definition.
+// BWT computes the Burrows-Wheeler transform of data over its full
+// rotations (no sentinel), returning the last column of the sorted
+// rotation matrix and the primary index: the row of rotation 0, which
+// UnBWT starts from. When data is a block repeated k times, rows come in
+// k equal copies and primary is the first copy of rotation 0.
+//
+// It runs in O(n): rotations of a Lyndon word (a string strictly smaller
+// than all its rotations) sort as its suffixes do, so the rotations of
+// data's primitive block sort as the suffixes, found by SA-IS, of that
+// block's smallest rotation.
 func BWT(data []byte) (out []byte, primary int) {
 	n := len(data)
 	if n == 0 {
 		return nil, 0
 	}
-	// Rank rotations via prefix doubling on the doubled string.
-	rank := make([]int, n)
-	tmp := make([]int, n)
-	sa := make([]int, n)
-	for i := 0; i < n; i++ {
-		sa[i] = i
-		rank[i] = int(data[i])
-	}
-	// Prefix doubling: after k >= n every rotation is compared over its
-	// full length; periodic inputs keep equal ranks for equal rotations,
-	// which is fine (their relative order is immaterial to the BWT).
-	for k := 1; k < 2*n; k <<= 1 {
-		key := func(i int) (int, int) {
-			return rank[i], rank[(i+k)%n]
-		}
-		sort.Slice(sa, func(a, b int) bool {
-			r1a, r2a := key(sa[a])
-			r1b, r2b := key(sa[b])
-			if r1a != r1b {
-				return r1a < r1b
-			}
-			return r2a < r2b
-		})
-		tmp[sa[0]] = 0
-		for i := 1; i < n; i++ {
-			r1p, r2p := key(sa[i-1])
-			r1c, r2c := key(sa[i])
-			tmp[sa[i]] = tmp[sa[i-1]]
-			if r1p != r1c || r2p != r2c {
-				tmp[sa[i]]++
+	p := n // length of the primitive block: the shortest period dividing n
+	for d := 1; d*d <= n; d++ {
+		for _, q := range [2]int{d, n / d} {
+			if n%d == 0 && q < p && bytes.Equal(data[q:], data[:n-q]) {
+				p = q
 			}
 		}
-		copy(rank, tmp)
-		if rank[sa[n-1]] == n-1 {
-			break
-		}
 	}
+	k := leastRotation(data[:p])
+	s := make([]int32, p+1) // the Lyndon word, shifted past the 0 sentinel
+	for i := range p {
+		s[i] = int32(data[(k+i)%p]) + 1
+	}
+	reps := n / p
 	out = make([]byte, n)
-	for i, rot := range sa {
-		if rot == 0 {
-			primary = i
+	for r, j := range suffixArray32(s, 257)[1:] {
+		start := int(j) + k // of this row's rotation in data
+		if start >= p {
+			start -= p
 		}
-		out[i] = data[(rot+n-1)%n]
+		c := data[p-1]
+		if start == 0 {
+			primary = r * reps
+		} else {
+			c = data[start-1]
+		}
+		for q := range reps {
+			out[r*reps+q] = c
+		}
 	}
 	return out, primary
+}
+
+// leastRotation returns the start of the smallest rotation of a primitive
+// string, in O(n): candidates i and j are compared over k symbols, and
+// the loser is skipped past the mismatch.
+func leastRotation(b []byte) int {
+	n := len(b)
+	at := func(i int) byte { // b[i%n] for i < 2n
+		if i >= n {
+			i -= n
+		}
+		return b[i]
+	}
+	i, j, k := 0, 1, 0
+	for i < n && j < n && k < n {
+		x, y := at(i+k), at(j+k)
+		switch {
+		case x == y:
+			k++
+			continue
+		case x > y:
+			i += k + 1
+		default:
+			j += k + 1
+		}
+		if i == j {
+			j++
+		}
+		k = 0
+	}
+	return min(i, j)
 }
 
 // UnBWT inverts the Burrows-Wheeler transform.
@@ -83,10 +105,10 @@ func UnBWT(bwt []byte, primary int) ([]byte, error) {
 		starts[v] = sum
 		sum += counts[v]
 	}
-	next := make([]int, n)
+	next := make([]int32, n)
 	var seen [256]int
 	for i, b := range bwt {
-		next[starts[b]+seen[b]] = i
+		next[starts[b]+seen[b]] = int32(i)
 		seen[b]++
 	}
 	out := make([]byte, n)
@@ -137,17 +159,26 @@ func UnMTF(data []byte) []byte {
 // RLE run-length-encodes data as (count, byte) pairs with a 255 cap per
 // run — the cheap first stage of Bzip2-style compressors.
 func RLE(data []byte) []byte {
-	var out []byte
+	runs := 0
+	for i := 0; i < len(data); i += runAt(data, i) {
+		runs++
+	}
+	out := make([]byte, 0, 2*runs)
 	for i := 0; i < len(data); {
-		b := data[i]
-		run := 1
-		for i+run < len(data) && data[i+run] == b && run < 255 {
-			run++
-		}
-		out = append(out, byte(run), b)
+		run := runAt(data, i)
+		out = append(out, byte(run), data[i])
 		i += run
 	}
 	return out
+}
+
+// runAt returns the length of the run starting at data[i], capped at 255.
+func runAt(data []byte, i int) int {
+	run := 1
+	for i+run < len(data) && data[i+run] == data[i] && run < 255 {
+		run++
+	}
+	return run
 }
 
 // UnRLE inverts RLE.
@@ -155,13 +186,16 @@ func UnRLE(data []byte) ([]byte, error) {
 	if len(data)%2 != 0 {
 		return nil, fmt.Errorf("kernels: RLE stream has odd length %d", len(data))
 	}
-	var out []byte
+	total := 0
 	for i := 0; i < len(data); i += 2 {
-		run := int(data[i])
-		if run == 0 {
+		if data[i] == 0 {
 			return nil, fmt.Errorf("kernels: RLE run of zero at %d", i)
 		}
-		for j := 0; j < run; j++ {
+		total += int(data[i])
+	}
+	out := make([]byte, 0, total)
+	for i := 0; i < len(data); i += 2 {
+		for range data[i] {
 			out = append(out, data[i+1])
 		}
 	}

@@ -4,8 +4,8 @@ import "sort"
 
 // SA-IS: linear-time suffix-array construction by induced sorting
 // (Nong, Zhang & Chan, 2009). This is the algorithm behind the BWT
-// benchmark's block-sorting stage (the bwt_sais task class); the package
-// also uses it for suffix-array pattern search.
+// benchmark's block-sorting stage (the bwt_sais task class, and BWT
+// itself); the package also uses it for suffix-array pattern search.
 
 // SuffixArray returns the suffix array of data: sa[i] is the start of the
 // i-th lexicographically smallest suffix. Runs in O(n) time.
@@ -14,156 +14,178 @@ func SuffixArray(data []byte) []int {
 	if n == 0 {
 		return nil
 	}
-	// Map to ints with a 0 sentinel appended (required by SA-IS); all
-	// symbols shift by +1.
-	s := make([]int, n+1)
+	// Symbols shift by +1 to make room for the 0 sentinel SA-IS needs.
+	s := make([]int32, n+1)
 	for i, b := range data {
-		s[i] = int(b) + 1
+		s[i] = int32(b) + 1
 	}
-	s[n] = 0
-	sa := sais(s, 257)
-	// Drop the sentinel suffix (always first).
-	return sa[1:]
+	out := make([]int, n)
+	for i, p := range suffixArray32(s, 257)[1:] { // the sentinel sorts first
+		out[i] = int(p)
+	}
+	return out
 }
 
-// sais computes the suffix array of s over alphabet [0, sigma); s must
-// end with a unique smallest sentinel (0).
-func sais(s []int, sigma int) []int {
+// suffixArray32 returns the suffix array of s, whose symbols are in
+// [0, sigma) and whose last symbol is a unique smallest sentinel. All
+// recursion levels share two allocations: each level's string is at most
+// half the one above, and so is its alphabet.
+func suffixArray32(s []int32, sigma int) []int32 {
 	n := len(s)
-	sa := make([]int, n)
+	buf := make([]int32, 2*n+max(sigma, n/2+1))
+	sa := buf[:n]
+	sais(s, sa, sigma, make([]bool, n), buf[2*n:], buf[n:2*n])
+	return sa
+}
+
+// sais writes the suffix array of s into sa. isS and bkt are scratch that
+// the recursive call clobbers and this level recomputes; the reduced
+// string lives in ws[:m] and deeper levels use ws[m:].
+func sais(s, sa []int32, sigma int, isS []bool, bkt, ws []int32) {
+	n := len(s)
 	if n == 1 {
 		sa[0] = 0
-		return sa
+		return
 	}
+	bkt = bkt[:sigma]
+	classify(s, isS)
+	isLMS := func(i int32) bool { return i > 0 && isS[i] && !isS[i-1] }
 
-	// 1. Classify suffixes: S-type (true) or L-type (false).
-	isS := make([]bool, n)
-	isS[n-1] = true
-	for i := n - 2; i >= 0; i-- {
-		isS[i] = s[i] < s[i+1] || (s[i] == s[i+1] && isS[i+1])
-	}
-	isLMS := func(i int) bool { return i > 0 && isS[i] && !isS[i-1] }
-
-	// Bucket boundaries by symbol.
-	bucket := make([]int, sigma+1)
-	for _, c := range s {
-		bucket[c+1]++
-	}
-	for c := 0; c < sigma; c++ {
-		bucket[c+1] += bucket[c]
-	}
-
-	induce := func(lms []int) {
-		for i := range sa {
-			sa[i] = -1
-		}
-		// Place LMS suffixes at their buckets' ends, in the given order
-		// (reversed so later entries land deeper).
-		tail := make([]int, sigma)
-		for c := 0; c < sigma; c++ {
-			tail[c] = bucket[c+1] - 1
-		}
-		for i := len(lms) - 1; i >= 0; i-- {
-			p := lms[i]
-			c := s[p]
-			sa[tail[c]] = p
-			tail[c]--
-		}
-		// Induce L-type from left to right.
-		head := make([]int, sigma)
-		for c := 0; c < sigma; c++ {
-			head[c] = bucket[c]
-		}
-		for i := 0; i < n; i++ {
-			p := sa[i]
-			if p <= 0 {
-				continue
-			}
-			if !isS[p-1] {
-				c := s[p-1]
-				sa[head[c]] = p - 1
-				head[c]++
-			}
-		}
-		// Induce S-type from right to left.
-		for c := 0; c < sigma; c++ {
-			tail[c] = bucket[c+1] - 1
-		}
-		for i := n - 1; i >= 0; i-- {
-			p := sa[i]
-			if p <= 0 {
-				continue
-			}
-			if isS[p-1] {
-				c := s[p-1]
-				sa[tail[c]] = p - 1
-				tail[c]--
-			}
-		}
-	}
-
-	// 2. First pass: induce with LMS positions in text order.
-	var lms []int
-	for i := 1; i < n; i++ {
+	// 1. Sort the LMS substrings: place LMS positions at their buckets'
+	// ends in any order, then induce.
+	fill(sa, -1)
+	buckets(s, bkt, true)
+	for i := int32(n - 1); i > 0; i-- {
 		if isLMS(i) {
-			lms = append(lms, i)
+			bkt[s[i]]--
+			sa[bkt[s[i]]] = i
 		}
 	}
-	induce(lms)
+	induce(s, sa, isS, bkt)
 
-	// 3. Name LMS substrings in the order they appear in sa.
-	lmsEqual := func(a, b int) bool {
-		// Compare LMS substrings starting at a and b (inclusive of the
-		// terminating LMS position).
-		for d := 0; ; d++ {
-			ai, bi := a+d, b+d
-			if s[ai] != s[bi] || isS[ai] != isS[bi] {
-				return false
-			}
-			if d > 0 && (isLMS(ai) || isLMS(bi)) {
-				return isLMS(ai) && isLMS(bi)
-			}
-		}
-	}
-	names := make([]int, n)
-	for i := range names {
-		names[i] = -1
-	}
-	prev, name := -1, 0
+	// 2. Gather them, sorted, into sa[:m] and name them (equal substrings,
+	// equal names) at sa[m+p/2]: LMS positions are at least two apart.
+	m := 0
 	for _, p := range sa {
-		if p <= 0 || !isLMS(p) {
-			continue
+		if isLMS(p) {
+			sa[m] = p
+			m++
 		}
-		if prev >= 0 && !lmsEqual(prev, p) {
+	}
+	fill(sa[m:], -1)
+	name, prev := int32(0), int32(-1)
+	for _, p := range sa[:m] {
+		if prev >= 0 && !lmsEqual(s, isS, prev, p) {
 			name++
 		}
-		names[p] = name
+		sa[m+int(p)/2] = name
 		prev = p
 	}
 
-	// 4. Build the reduced string and solve it (recursively if needed).
-	reduced := make([]int, 0, len(lms))
-	for _, p := range lms {
-		reduced = append(reduced, names[p])
+	// 3. Sort the LMS suffixes: by their names when those are unique,
+	// else by recursing on the string of names in text order, which ends
+	// in the sentinel's name 0.
+	s1 := ws[:0]
+	for _, c := range sa[m:] {
+		if c >= 0 {
+			s1 = append(s1, c)
+		}
 	}
-	var lmsSorted []int
-	if name+1 == len(lms) {
-		// All names unique: order LMS by name directly.
-		lmsSorted = make([]int, len(lms))
-		for i, p := range lms {
-			lmsSorted[reduced[i]] = p
-		}
+	if int(name)+1 < m {
+		sais(s1, sa[:m], int(name)+1, isS, bkt, ws[m:])
+		classify(s, isS)
 	} else {
-		subSA := sais(append(reduced, 0), name+2)
-		lmsSorted = make([]int, 0, len(lms))
-		for _, idx := range subSA[1:] { // skip the sentinel
-			lmsSorted = append(lmsSorted, lms[idx])
+		for i, c := range s1 {
+			sa[c] = int32(i)
 		}
+	}
+	s1 = s1[:0]
+	for i := int32(1); i < int32(n); i++ {
+		if isLMS(i) {
+			s1 = append(s1, i)
+		}
+	}
+	for i, r := range sa[:m] {
+		sa[i] = s1[r]
 	}
 
-	// 5. Final induce with sorted LMS.
-	induce(lmsSorted)
-	return sa
+	// 4. Induce the whole order from the sorted LMS suffixes, placed at
+	// their buckets' ends from the largest down.
+	fill(sa[m:], -1)
+	buckets(s, bkt, true)
+	for i := m - 1; i >= 0; i-- {
+		p := sa[i]
+		sa[i] = -1
+		bkt[s[p]]--
+		sa[bkt[s[p]]] = p
+	}
+	induce(s, sa, isS, bkt)
+}
+
+// classify marks each suffix of s S-type (smaller than the next) or
+// L-type.
+func classify(s []int32, isS []bool) {
+	n := len(s)
+	isS[n-1] = true
+	for i := n - 2; i >= 0; i-- {
+		isS[i] = s[i] < s[i+1] || s[i] == s[i+1] && isS[i+1]
+	}
+}
+
+// buckets sets bkt[c] to the start of symbol c's bucket in the suffix
+// array, or with end to the start of the next one.
+func buckets(s, bkt []int32, end bool) {
+	clear(bkt)
+	for _, c := range s {
+		bkt[c]++
+	}
+	sum := int32(0)
+	for c, k := range bkt {
+		sum += k
+		bkt[c] = sum
+		if !end {
+			bkt[c] -= k
+		}
+	}
+}
+
+// induce sorts the L-type suffixes left to right from what sa holds, then
+// the S-type ones right to left.
+func induce(s, sa []int32, isS []bool, bkt []int32) {
+	buckets(s, bkt, false)
+	for _, p := range sa {
+		if p--; p >= 0 && !isS[p] {
+			sa[bkt[s[p]]] = p
+			bkt[s[p]]++
+		}
+	}
+	buckets(s, bkt, true)
+	for i := len(sa) - 1; i >= 0; i-- {
+		if p := sa[i] - 1; p >= 0 && isS[p] {
+			bkt[s[p]]--
+			sa[bkt[s[p]]] = p
+		}
+	}
+}
+
+// lmsEqual reports whether the LMS substrings starting at a and b are
+// equal, their terminating LMS positions included.
+func lmsEqual(s []int32, isS []bool, a, b int32) bool {
+	isLMS := func(i int32) bool { return isS[i] && !isS[i-1] }
+	for d := int32(0); ; d++ {
+		if s[a+d] != s[b+d] || isS[a+d] != isS[b+d] {
+			return false
+		}
+		if d > 0 && (isLMS(a+d) || isLMS(b+d)) {
+			return isLMS(a+d) && isLMS(b+d)
+		}
+	}
+}
+
+func fill(a []int32, v int32) {
+	for i := range a {
+		a[i] = v
+	}
 }
 
 // naiveSuffixArray is the O(n² log n) reference used by the tests.
