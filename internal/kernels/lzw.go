@@ -1,41 +1,48 @@
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // LZW implements Lempel-Ziv-Welch dictionary compression over uint16
 // codes (dictionary capped at 65535 entries, then frozen), the classic
-// variant used by the LZW benchmark.
+// variant used by the LZW benchmark. Entry c >= 256 is an earlier entry
+// (its prefix code) plus one byte, so both directions keep the dictionary
+// as code tables and never build the strings.
 
 // LZWEncode compresses data into a stream of 16-bit codes (big-endian).
 func LZWEncode(data []byte) []byte {
 	if len(data) == 0 {
 		return nil
 	}
-	dict := make(map[string]uint16, 4096)
-	for i := 0; i < 256; i++ {
-		dict[string([]byte{byte(i)})] = uint16(i)
-	}
-	next := uint16(256)
-	var out []byte
-	emit := func(c uint16) {
-		out = append(out, byte(c>>8), byte(c))
-	}
-	w := []byte{data[0]}
+	// An open-addressed map from prefix<<8|byte + 1 (0 marks a free slot)
+	// to the entry's code, packed as key<<16 | code, at most half full.
+	size := 1 << bits.Len(uint(2*min(len(data), 65535-256)-1))
+	table := make([]uint64, size)
+	shift := 32 - bits.Len(uint(size-1))
+	out := make([]byte, 0, len(data))
+	next := uint64(256)
+	w := uint32(data[0])
 	for _, b := range data[1:] {
-		wb := append(w, b)
-		if _, ok := dict[string(wb)]; ok {
-			w = wb
+		key := (w<<8 | uint32(b)) + 1
+		i := key * 0x9E3779B1 >> shift
+		for table[i] != 0 && uint32(table[i]>>16) != key {
+			i = (i + 1) & uint32(size-1)
+		}
+		if table[i] != 0 {
+			w = uint32(uint16(table[i]))
 			continue
 		}
-		emit(dict[string(w)])
+		out = append(out, byte(w>>8), byte(w))
 		if next < 65535 {
-			dict[string(wb)] = next
+			table[i] = uint64(key)<<16 | next
 			next++
 		}
-		w = []byte{b}
+		w = uint32(b)
 	}
-	emit(dict[string(w)])
-	return out
+	return append(out, byte(w>>8), byte(w))
 }
 
 // LZWDecode inverts LZWEncode.
@@ -46,35 +53,50 @@ func LZWDecode(enc []byte) ([]byte, error) {
 	if len(enc)%2 != 0 {
 		return nil, fmt.Errorf("kernels: LZW stream has odd length")
 	}
-	codes := make([]uint16, len(enc)/2)
-	for i := range codes {
-		codes[i] = uint16(enc[2*i])<<8 | uint16(enc[2*i+1])
+	codes := len(enc) / 2
+	code := func(i int) int { return int(enc[2*i])<<8 | int(enc[2*i+1]) }
+	// Each code after the first adds at most one entry.
+	limit := 256 + min(codes, 65535-256)
+	prefix := make([]uint16, limit)
+	length := make([]int32, limit)
+	last, first := make([]byte, limit), make([]byte, limit)
+	for c := range 256 {
+		length[c], last[c], first[c] = 1, byte(c), byte(c)
 	}
-	dict := make([][]byte, 256, 4096)
-	for i := range dict {
-		dict[i] = []byte{byte(i)}
+	// emit appends entry c by walking its prefixes from the last byte back.
+	emit := func(out []byte, c int) []byte {
+		start := len(out)
+		out = slices.Grow(out, int(length[c]))[:start+int(length[c])]
+		for j := len(out) - 1; j > start; j-- {
+			out[j] = last[c]
+			c = int(prefix[c])
+		}
+		out[start] = byte(c)
+		return out
 	}
-	var out []byte
-	prev := codes[0]
-	if int(prev) >= len(dict) {
+	prev := code(0)
+	if prev >= 256 {
 		return nil, fmt.Errorf("kernels: invalid first LZW code %d", prev)
 	}
-	out = append(out, dict[prev]...)
-	for _, c := range codes[1:] {
-		var entry []byte
-		switch {
-		case int(c) < len(dict):
-			entry = dict[c]
-		case int(c) == len(dict):
-			// The KwKwK case: entry = prev + prev[0].
-			entry = append(append([]byte{}, dict[prev]...), dict[prev][0])
-		default:
+	out := append(make([]byte, 0, 2*len(enc)), byte(prev))
+	size := 256
+	for i := 1; i < codes; i++ {
+		c := code(i)
+		// The encoder never sends 65535: it sends only codes it has.
+		if c > size || c == 65535 {
 			return nil, fmt.Errorf("kernels: invalid LZW code %d", c)
 		}
-		out = append(out, entry...)
-		if len(dict) < 65535 {
-			ne := append(append([]byte{}, dict[prev]...), entry[0])
-			dict = append(dict, ne)
+		// c is a known entry, or (the KwKwK case) the one being added:
+		// prev's entry plus its own first byte.
+		fc := first[prev]
+		if c < size {
+			out, fc = emit(out, c), first[c]
+		} else {
+			out = append(emit(out, prev), fc)
+		}
+		if size < 65535 {
+			prefix[size], last[size], first[size], length[size] = uint16(prev), fc, first[prev], length[prev]+1
+			size++
 		}
 		prev = c
 	}
