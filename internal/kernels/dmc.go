@@ -95,6 +95,20 @@ func acSplit(low, high uint64, p1 uint32) uint64 {
 	return mid
 }
 
+// bitWriter appends bits to buf, most significant first.
+type bitWriter struct {
+	buf  []byte
+	nbit uint
+}
+
+func (w *bitWriter) writeBit(bit uint32) {
+	if w.nbit%8 == 0 {
+		w.buf = append(w.buf, 0)
+	}
+	w.buf[w.nbit/8] |= byte(bit) << (7 - w.nbit%8)
+	w.nbit++
+}
+
 type arithEncoder struct {
 	low, high uint64
 	pending   int
@@ -106,9 +120,9 @@ func newArithEncoder() *arithEncoder {
 }
 
 func (e *arithEncoder) emit(bit uint32) {
-	e.w.writeBits(bit, 1)
+	e.w.writeBit(bit)
 	for ; e.pending > 0; e.pending-- {
-		e.w.writeBits(bit^1, 1)
+		e.w.writeBit(bit ^ 1)
 	}
 }
 
@@ -149,7 +163,7 @@ func (e *arithEncoder) finish() []byte {
 	}
 	// Pad so the decoder can always read.
 	for i := 0; i < acBits; i++ {
-		e.w.writeBits(0, 1)
+		e.w.writeBit(0)
 	}
 	return e.w.buf
 }
@@ -157,23 +171,26 @@ func (e *arithEncoder) finish() []byte {
 type arithDecoder struct {
 	low, high uint64
 	value     uint64
-	r         bitReader
+	in        []byte
+	nbit      int
 }
 
 func newArithDecoder(in []byte) *arithDecoder {
-	d := &arithDecoder{high: acMax, r: bitReader{buf: in}}
+	d := &arithDecoder{high: acMax, in: in}
 	for i := 0; i < acBits; i++ {
 		d.value = d.value<<1 | uint64(d.bit())
 	}
 	return d
 }
 
+// bit returns the next input bit, most significant first; 0 past the end.
 func (d *arithDecoder) bit() uint32 {
-	b, err := d.r.readBit()
-	if err != nil {
+	i := d.nbit
+	d.nbit++
+	if i/8 >= len(d.in) {
 		return 0
 	}
-	return b
+	return uint32(d.in[i/8]>>(7-i%8)) & 1
 }
 
 func (d *arithDecoder) decode(p1 uint32) int {

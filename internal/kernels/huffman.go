@@ -35,10 +35,16 @@ func huffLengths(data []byte) [256]uint8 {
 	for _, b := range data {
 		freq[b]++
 	}
+	// The at most 511 nodes of the tree, in one allocation.
+	pool := make([]huffNode, 0, 511)
+	node := func(n huffNode) *huffNode {
+		pool = append(pool, n)
+		return &pool[len(pool)-1]
+	}
 	h := &huffHeap{}
 	for s, f := range freq {
 		if f > 0 {
-			heap.Push(h, &huffNode{freq: f, sym: s})
+			heap.Push(h, node(huffNode{freq: f, sym: s}))
 		}
 	}
 	if h.Len() == 0 {
@@ -51,7 +57,7 @@ func huffLengths(data []byte) [256]uint8 {
 	for h.Len() > 1 {
 		a := heap.Pop(h).(*huffNode)
 		b := heap.Pop(h).(*huffNode)
-		heap.Push(h, &huffNode{freq: a.freq + b.freq, sym: -1, left: a, right: b})
+		heap.Push(h, node(huffNode{freq: a.freq + b.freq, sym: -1, left: a, right: b}))
 	}
 	root := heap.Pop(h).(*huffNode)
 	var walk func(n *huffNode, depth uint8)
@@ -67,130 +73,109 @@ func huffLengths(data []byte) [256]uint8 {
 	return lengths
 }
 
-// canonicalCodes assigns canonical codes from code lengths.
-func canonicalCodes(lengths [256]uint8) (codes [256]uint32, ok bool) {
-	// Count lengths, assign first code per length.
-	var count [64]int
-	maxLen := 0
+// maxCodeLen bounds the code lengths a stream may declare.
+const maxCodeLen = 48
+
+// canonical is a canonical code: the codes of one length are consecutive
+// in symbol order, the first one after the length before's last, doubled.
+type canonical struct {
+	codes        [256]uint64
+	first, count [maxCodeLen + 1]uint64 // per length
+	offset       [maxCodeLen + 1]int    // per length, into syms
+	syms         [256]byte              // by (length, symbol)
+}
+
+// canonicalCodes fills t from code lengths. It fails on a length over
+// maxCodeLen and on more codes of one length than a prefix code has room for.
+func canonicalCodes(lengths *[256]uint8, t *canonical) error {
 	for _, l := range lengths {
-		if l > 0 {
-			count[l]++
-			if int(l) > maxLen {
-				maxLen = int(l)
-			}
+		if l > maxCodeLen {
+			return fmt.Errorf("kernels: huffman code length %d over %d", l, maxCodeLen)
 		}
+		t.count[l]++
 	}
-	if maxLen == 0 {
-		return codes, true
+	t.count[0] = 0
+	code, n := uint64(0), 0
+	for l := 1; l <= maxCodeLen; l++ {
+		code = (code + t.count[l-1]) << 1
+		if code+t.count[l] > 1<<l {
+			return fmt.Errorf("kernels: huffman code lengths over-subscribed at length %d", l)
+		}
+		t.first[l], t.offset[l] = code, n
+		n += int(t.count[l])
 	}
-	var firstCode [64]uint32
-	code := uint32(0)
-	for l := 1; l <= maxLen; l++ {
-		code = (code + uint32(count[l-1])) << 1
-		firstCode[l] = code
-	}
-	var next [64]uint32
-	copy(next[:], firstCode[:])
-	for s := 0; s < 256; s++ {
-		if l := lengths[s]; l > 0 {
-			codes[s] = next[l]
+	next := t.offset
+	for s, l := range lengths {
+		if l > 0 {
+			t.syms[next[l]] = byte(s)
+			t.codes[s] = t.first[l] + uint64(next[l]-t.offset[l])
 			next[l]++
 		}
 	}
-	return codes, true
-}
-
-type bitWriter struct {
-	buf  []byte
-	nbit uint
-}
-
-func (w *bitWriter) writeBits(code uint32, n uint8) {
-	for i := int(n) - 1; i >= 0; i-- {
-		bit := (code >> uint(i)) & 1
-		byteIdx := w.nbit / 8
-		if int(byteIdx) == len(w.buf) {
-			w.buf = append(w.buf, 0)
-		}
-		if bit == 1 {
-			w.buf[byteIdx] |= 1 << (7 - w.nbit%8)
-		}
-		w.nbit++
-	}
-}
-
-type bitReader struct {
-	buf  []byte
-	nbit uint
-}
-
-func (r *bitReader) readBit() (uint32, error) {
-	byteIdx := r.nbit / 8
-	if int(byteIdx) >= len(r.buf) {
-		return 0, fmt.Errorf("kernels: huffman stream truncated")
-	}
-	bit := (r.buf[byteIdx] >> (7 - r.nbit%8)) & 1
-	r.nbit++
-	return uint32(bit), nil
+	return nil
 }
 
 // HuffmanEncode compresses data with canonical Huffman coding. The header
-// is 256 code-length bytes plus a 4-byte big-endian symbol count.
+// is 256 code-length bytes plus a 4-byte big-endian symbol count; the
+// codes follow most significant bit first, the last byte zero-padded.
 func HuffmanEncode(data []byte) []byte {
 	lengths := huffLengths(data)
-	codes, _ := canonicalCodes(lengths)
+	var t canonical
+	_ = canonicalCodes(&lengths, &t) // lengths of at most 34 bits on 16 MiB
 	out := make([]byte, 0, 260+len(data)/2)
 	out = append(out, lengths[:]...)
 	n := len(data)
 	out = append(out, byte(n>>24), byte(n>>16), byte(n>>8), byte(n))
-	w := &bitWriter{buf: out, nbit: uint(len(out)) * 8}
+	// acc holds nacc < 8 pending bits between symbols, so one code of at
+	// most maxCodeLen bits always fits.
+	var acc, nacc uint64
 	for _, b := range data {
-		w.writeBits(codes[b], lengths[b])
+		acc = acc<<lengths[b] | t.codes[b]
+		nacc += uint64(lengths[b])
+		for nacc >= 8 {
+			nacc -= 8
+			out = append(out, byte(acc>>nacc))
+		}
 	}
-	return w.buf
+	if nacc > 0 {
+		out = append(out, byte(acc<<(8-nacc)))
+	}
+	return out
 }
 
-// HuffmanDecode inverts HuffmanEncode.
+// HuffmanDecode inverts HuffmanEncode. It reads a code bit by bit and
+// stops at the first length whose range of codes holds it.
 func HuffmanDecode(enc []byte) ([]byte, error) {
 	if len(enc) < 260 {
 		return nil, fmt.Errorf("kernels: huffman stream too short (%d)", len(enc))
 	}
-	var lengths [256]uint8
-	copy(lengths[:], enc[:256])
+	lengths := (*[256]uint8)(enc[:256])
 	n := int(enc[256])<<24 | int(enc[257])<<16 | int(enc[258])<<8 | int(enc[259])
 	if n == 0 {
 		return nil, nil
 	}
-	codes, _ := canonicalCodes(lengths)
-	// Build decode table: map (length, code) -> symbol.
-	type lc struct {
-		l uint8
-		c uint32
+	var t canonical
+	if err := canonicalCodes(lengths, &t); err != nil {
+		return nil, err
 	}
-	decode := map[lc]byte{}
-	for s := 0; s < 256; s++ {
-		if lengths[s] > 0 {
-			decode[lc{lengths[s], codes[s]}] = byte(s)
-		}
+	nbits := len(enc) * 8
+	if n > nbits-260*8 { // every symbol takes at least one bit
+		return nil, fmt.Errorf("kernels: huffman stream truncated")
 	}
-	r := &bitReader{buf: enc, nbit: 260 * 8}
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		var code uint32
-		var l uint8
-		for {
-			bit, err := r.readBit()
-			if err != nil {
-				return nil, err
+	out := make([]byte, n)
+	pos := 260 * 8
+	for i := range out {
+		code := uint64(0)
+		for l := 1; ; l++ {
+			if l > maxCodeLen || pos == nbits {
+				return nil, fmt.Errorf("kernels: huffman code at bit %d invalid or truncated", pos)
 			}
-			code = code<<1 | bit
-			l++
-			if s, ok := decode[lc{l, code}]; ok {
-				out = append(out, s)
+			code = code<<1 | uint64(enc[pos>>3]>>(7-pos&7)&1)
+			pos++
+			// Unmatched at every shorter length, code >= first[l].
+			if d := code - t.first[l]; d < t.count[l] {
+				out[i] = t.syms[t.offset[l]+int(d)]
 				break
-			}
-			if l > 48 {
-				return nil, fmt.Errorf("kernels: invalid huffman code")
 			}
 		}
 	}
