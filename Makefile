@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build loc test race bench bench-sched bench-sim bench-serve bench-stack bench-smoke accept profile-serve figures trace-demo serve-demo chaos-demo twin-demo vulncheck
+.PHONY: check fmt vet build loc test race bench bench-sched bench-sim bench-kernels bench-serve bench-stack bench-smoke accept profile-serve figures trace-demo serve-demo chaos-demo twin-demo vulncheck
 
 # check is the CI gate: gofmt + vet + build + full tests + race pass over
 # the concurrent packages (live runtime, lock-free deques, event rings).
@@ -17,9 +17,10 @@ build:
 
 # loc prints the one definition of the line counts that ROADMAP.md,
 # CHANGES.md and BENCH_history.ndjson quote: non-test Go lines in the
-# module, then in the two packages the serving-path items work on.
+# module, then in the two packages the serving-path items work on and in
+# the kernels.
 loc:
-	@for p in . internal/gate internal/client; do \
+	@for p in . internal/gate internal/client internal/kernels; do \
 		printf 'non-test Go lines in %s: %s\n' $$p "$$(find $$p -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"; done
 
 test:
@@ -44,6 +45,13 @@ bench-sched:
 # numbers with plain go test.
 bench-sim:
 	$(GO) test -run xxx -bench 'SimGrid|SimulatorThroughput|Reorganize' -benchmem .
+
+# bench-kernels times the three child kinds of a mix job at 4 KiB (bzip2
+# and LZW round trips, SHA-1 + MD5) on the inputs of the repository
+# benchmark's kernels.*_4k_ns micro-measurements, allocations included;
+# TestMixChildAllocCeilings fails the build if those allocations grow.
+bench-kernels:
+	$(GO) test -run xxx -bench 'Bzip2Like4K|LZW4K|Digest4K' -benchmem -count=5 ./internal/kernels/
 
 # bench-serve is the serving-path allocation gate (DESIGN.md §12, §13):
 # the TestZeroAlloc* tests fail the build if a steady-state unary or batch

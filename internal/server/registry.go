@@ -25,12 +25,12 @@ type Params struct {
 	Generations int `json:"generations,omitempty"`
 }
 
-// Submission caps. Workload cost grows with these knobs (BWT is
-// superlinear in Size, mix spawns N tasks), so unbounded values are a
-// resource-exhaustion vector from unauthenticated input: one request
-// with size=1<<40 would wedge a worker for hours and the watchdog can
-// only report it, not kill it. Validation is the layer that actually
-// prevents that.
+// Submission caps. Workload cost grows with these knobs (BWT is linear
+// in Size but holds about 16 bytes per input byte, mix spawns N tasks),
+// so unbounded values are a resource-exhaustion vector from
+// unauthenticated input: one request with size=1<<40 would wedge a
+// worker for hours and the watchdog can only report it, not kill it.
+// Validation is the layer that actually prevents that.
 const (
 	maxParamSize        = 16 << 20
 	maxParamN           = 4096
