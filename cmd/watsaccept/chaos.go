@@ -9,9 +9,9 @@ import (
 
 	"wats/internal/amc"
 	"wats/internal/client"
+	"wats/internal/fault"
 	"wats/internal/gate"
 	"wats/internal/harness"
-	"wats/internal/netfault"
 	"wats/internal/obs"
 	"wats/internal/runtime"
 	"wats/internal/server"
@@ -33,7 +33,7 @@ import (
 // Varied: the defences — off, or hedging + retry budget + ejection on.
 //
 // Controlled: the arrival schedule (one seed, open loop, 150 jobs/s for
-// 3 s), 12 ms cancellation-aware jobs, the netfault plan (same seed, flap
+// 3 s), 12 ms cancellation-aware jobs, the fault plan (same seed, flap
 // window opens at 1 s, armed at load start), round-robin routing so the
 // victim gets a deterministic third of the primaries whatever scorer
 // ties would do, poll interval, breaker.
@@ -67,8 +67,8 @@ var chaos = chaosParams{WorkMs: 12, Rate: 150, Dur: 3 * time.Second, GrayAt: tim
 
 // gray is the victim's fault schedule. Latency strictly before admission
 // is what keeps cancelled hedge losers un-admitted (DESIGN.md §14).
-func (p chaosParams) gray() netfault.Spec {
-	return netfault.Spec{
+func (p chaosParams) gray() fault.Spec {
+	return fault.Spec{
 		Seed:        p.Seed,
 		LatencyRate: 1, Latency: p.GrayLatency,
 		DripRate: 1, DripDelay: p.DripDelay, DripChunk: 32,
@@ -89,8 +89,8 @@ type chaosRun struct {
 	Completed    uint64            `json:"backend_completed_total"`
 	LedgerExec   int               `json:"ledger_full_executions"`
 	LedgerCancel int               `json:"ledger_cancelled_tasks"`
-	FaultsLive   netfault.Counts   `json:"netfault_live"`
-	FaultsPlan   netfault.Counts   `json:"netfault_planned"`
+	FaultsLive   fault.Counts      `json:"netfault_live"`
+	FaultsPlan   fault.Counts      `json:"netfault_planned"`
 	Assigned     uint64            `json:"netfault_assigned"`
 	Routed       map[string]uint64 `json:"routed_by_backend"`
 	EjectionsAll map[string]uint64 `json:"ejections_by_backend"`
@@ -146,7 +146,7 @@ func (p chaosParams) check(rep *harness.Report, r *chaosReport) {
 		// ledger > ok.
 		rep.Check(uint64(res.OK) == res.Completed, "defended=%v: %d gate 200s vs %d backend-completed jobs", res.Defended, res.OK, res.Completed)
 		rep.Check(res.LedgerExec == res.OK, "defended=%v: %d full executions in the ledger vs %d gate 200s", res.Defended, res.LedgerExec, res.OK)
-		rep.Check(res.Assigned > 0, "defended=%v: the netfault window never fired", res.Defended)
+		rep.Check(res.Assigned > 0, "defended=%v: the fault window never fired", res.Defended)
 		rep.Check(res.FaultsLive == res.FaultsPlan, "defended=%v: live faults %+v != planned %+v", res.Defended, res.FaultsLive, res.FaultsPlan)
 	}
 	// Healthy-window tax: a tight gate on the median (stable even with
@@ -180,7 +180,7 @@ func (p chaosParams) check(rep *harness.Report, r *chaosReport) {
 // window at load start, drives the load, and folds the gate's, the
 // backends', the ledger's and the injector's views into res.
 func (p chaosParams) one(rep *harness.Report, res *chaosRun) error {
-	inj := netfault.New(p.gray())
+	inj := fault.New(p.gray())
 	work := time.Duration(p.WorkMs) * time.Millisecond
 	job := server.Workload{Name: "work", Class: "work", Desc: "fixed-cost unit of work, cancellation-aware",
 		Run: func(ctx *runtime.Ctx, _ server.Params) (any, error) {
@@ -197,7 +197,7 @@ func (p chaosParams) one(rep *harness.Report, res *chaosRun) error {
 		nodes[i] = harness.NodeConfig{Arch: arch, MaxInflight: 1 << 12, Obs: obs.NewTracer(arch.NumCores(), 0),
 			Workloads: map[string]server.Workload{"work": job}}
 	}
-	nodes[0].Wrap = func(h http.Handler) http.Handler { return netfault.Middleware(h, inj) }
+	nodes[0].Wrap = func(h http.Handler) http.Handler { return fault.Middleware(h, inj) }
 
 	gcfg := &gate.Config{
 		Policy:       gate.Policy{Kind: gate.PolicyRoundRobin},
@@ -278,7 +278,7 @@ func (p chaosParams) one(rep *harness.Report, res *chaosRun) error {
 	// assigned and compare with what it injected.
 	res.FaultsLive, res.Assigned = inj.Counts(), inj.Assigned("serve")
 	for i := uint64(0); i < res.Assigned; i++ {
-		res.FaultsPlan.Add(inj.Plan("serve", i))
+		res.FaultsPlan.Add(inj.PlanNet("serve", i))
 	}
 	return nil
 }

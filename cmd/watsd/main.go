@@ -13,6 +13,7 @@
 //	watsd -listen :8080 -fast 2 -slow 2 -policy WATS -max-inflight 64
 //	watsd -listen :8080 -autoscale -min-workers 2 -max-workers 16
 //	watsd -listen :8080 -fault panic=0.01,delay=0.02:2ms -stall-threshold 5s
+//	watsd -listen :8080 -fault latency=1:200ms,drip=0.5:50ms:64,flap=5s:10s
 //	curl -XPOST localhost:8080/v1/jobs -d '{"workload":"bzip2"}'
 //	curl -XPOST localhost:8080/v1/resize -d '{"workers":8}'
 //	curl localhost:8080/v1/version
@@ -33,7 +34,6 @@ import (
 
 	"wats/internal/amc"
 	"wats/internal/fault"
-	"wats/internal/netfault"
 	"wats/internal/obs"
 	"wats/internal/runtime"
 	"wats/internal/scale"
@@ -57,8 +57,6 @@ type options struct {
 	drainTimeout time.Duration
 	faultSpec    string
 	faultSeed    uint64
-	netSpec      string
-	netSeed      uint64
 	stallThresh  time.Duration
 
 	autoscale    bool
@@ -69,10 +67,9 @@ type options struct {
 	capture   string
 	logFormat string
 
-	arch     *amc.Arch
-	kind     sched.Kind
-	fault    fault.Spec
-	netfault netfault.Spec
+	arch  *amc.Arch
+	kind  sched.Kind
+	fault fault.Spec
 }
 
 // parseOptions registers watsd's flags on fs, parses args and validates
@@ -89,10 +86,8 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.IntVar(&o.maxQueued, "max-queued", 0, "runtime spawn-backpressure depth, reused as the shed threshold (0 = 4096)")
 	fs.DurationVar(&o.deadline, "default-deadline", 0, "deadline applied to jobs that set none (0 = none)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long SIGTERM waits for in-flight jobs before giving up")
-	fs.StringVar(&o.faultSpec, "fault", "", `deterministic fault injection spec, e.g. "panic=0.01,delay=0.05:2ms,cancel=0.01" (empty = off)`)
+	fs.StringVar(&o.faultSpec, "fault", "", `deterministic fault injection in task bodies and on the job API, e.g. "panic=0.01,delay=0.05:2ms" or "latency=1:200ms,drip=0.5:50ms:64,flap=5s:10s" (empty = off)`)
 	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault-injection schedule")
-	fs.StringVar(&o.netSpec, "netfault", "", `deterministic network chaos on the job API, e.g. "latency=1:200ms,drip=0.5:50ms:64,flap=5s:10s" (empty = off)`)
-	fs.Uint64Var(&o.netSeed, "netfault-seed", 1, "seed for the network-chaos schedule")
 	fs.DurationVar(&o.stallThresh, "stall-threshold", 10*time.Second, "watchdog stall threshold for in-flight tasks (must be > 0)")
 	fs.BoolVar(&o.autoscale, "autoscale", false, "grow/shrink the worker pool online between -min-workers and -max-workers")
 	fs.IntVar(&o.minWorkers, "min-workers", 2, "autoscale lower bound on total workers (>= number of c-groups)")
@@ -133,11 +128,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("bad -fault: %v", err)
 	}
 	o.fault = spec
-	nspec, err := netfault.ParseSpec(o.netSpec, o.netSeed)
-	if err != nil {
-		return fmt.Errorf("bad -netfault: %v", err)
-	}
-	o.netfault = nspec
 	if o.minWorkers <= 0 {
 		return fmt.Errorf("bad -min-workers: %d (must be > 0)", o.minWorkers)
 	}
@@ -199,10 +189,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	var injector *fault.Injector
+	// One injector plans both action sets. The runtime gets it only for
+	// task clauses, so a network-only spec keeps its single nil-check.
+	var injector, taskFaults *fault.Injector
 	if opts.fault.Enabled() {
 		injector = fault.New(opts.fault)
 		logger.Info("fault injection armed", "spec", opts.fault.String())
+	}
+	if opts.fault.Tasks() {
+		taskFaults = injector
 	}
 	rt, err := runtime.New(runtime.Config{
 		Arch:                  opts.arch,
@@ -212,7 +207,7 @@ func main() {
 		DisableSpeedEmulation: opts.noEmu,
 		MaxQueuedTasks:        opts.maxQueued,
 		Obs:                   obs.NewTracer(opts.arch.NumCores(), 0),
-		Fault:                 injector,
+		Fault:                 taskFaults,
 		StallThreshold:        opts.stallThresh,
 	})
 	if err != nil {
@@ -263,14 +258,8 @@ func main() {
 	logger.Info("serving", "listen", opts.listen, "arch", opts.arch.String(), "policy", string(opts.kind),
 		"max_inflight", opts.maxInflight, "shed_depth", rt.MaxQueuedTasks())
 
-	var handler http.Handler = srv.Handler()
-	var netInj *netfault.Injector
-	if opts.netfault.Enabled() {
-		netInj = netfault.New(opts.netfault)
-		handler = netfault.Middleware(handler, netInj)
-		logger.Info("network chaos armed", "spec", opts.netfault.String())
-	}
-	httpSrv := newHTTPServer(opts.listen, handler)
+	// Middleware returns the handler as it is without network clauses.
+	httpSrv := newHTTPServer(opts.listen, fault.Middleware(srv.Handler(), injector))
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 
@@ -323,12 +312,8 @@ func main() {
 		"tasks_cancelled", rt.Cancelled(), "panics_recovered", rt.Panics(), "energy_joules", rt.EnergyJoules())
 	if injector != nil {
 		fc := injector.Counts()
-		logger.Info("faults injected", "panics", fc.Panics, "delays", fc.Delays, "cancels", fc.Cancels)
-	}
-	if netInj != nil {
-		nc := netInj.Counts()
-		logger.Info("network faults injected", "latencies", nc.Latencies, "drips", nc.Drips,
-			"resets", nc.Resets, "blackholes", nc.Blackholes)
+		logger.Info("faults injected", "panics", fc.Panics, "delays", fc.Delays, "cancels", fc.Cancels,
+			"latencies", fc.Latencies, "drips", fc.Drips, "resets", fc.Resets, "blackholes", fc.Blackholes)
 	}
 	fmt.Println("watsd: bye")
 }

@@ -56,9 +56,11 @@ func TestParseOptionsRejectsBadValues(t *testing.T) {
 		{"negative fault rate", []string{"-fault", "delay=-0.1:1ms"}, "-fault"},
 		{"zero fault delay", []string{"-fault", "delay=0.1:0s"}, "-fault"},
 		{"garbage fault spec", []string{"-fault", "explode=0.5"}, "-fault"},
-		{"garbage netfault spec", []string{"-netfault", "explode=0.5"}, "-netfault"},
-		{"netfault rate above one", []string{"-netfault", "latency=1.5:10ms"}, "-netfault"},
-		{"netfault reset+blackhole over one", []string{"-netfault", "reset=0.7,blackhole=0.7"}, "-netfault"},
+		{"garbage netfault spec", []string{"-fault", "latency=banana"}, "-fault"},
+		{"netfault rate above one", []string{"-fault", "latency=1.5:10ms"}, "-fault"},
+		{"netfault reset+blackhole over one", []string{"-fault", "reset=0.7,blackhole=0.7"}, "-fault"},
+		{"flap without network clause", []string{"-fault", "panic=0.1,flap=1s:2s"}, "-fault"},
+		{"netfault flag removed", []string{"-netfault", "latency=1:10ms"}, "netfault"},
 		{"zero min workers", []string{"-min-workers", "0"}, "-min-workers"},
 		{"negative min workers", []string{"-min-workers", "-3"}, "-min-workers"},
 		{"zero max workers", []string{"-max-workers", "0"}, "-max-workers"},

@@ -30,8 +30,8 @@ import (
 	"time"
 
 	"wats/internal/client"
+	"wats/internal/fault"
 	"wats/internal/gate"
-	"wats/internal/netfault"
 )
 
 // backendList collects repeated -backend flags. Each value is either
@@ -81,11 +81,11 @@ type options struct {
 	eject       bool
 	ejectFactor float64
 	ejectWindow time.Duration
-	netSpec     string
-	netSeed     uint64
+	faultSpec   string
+	faultSeed   uint64
 
-	netfault netfault.Spec
-	gateCfg  gate.Config
+	fault   fault.Spec
+	gateCfg gate.Config
 }
 
 func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
@@ -110,8 +110,8 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.eject, "eject", true, "demote latency-outlier backends to probe-only until they recover")
 	fs.Float64Var(&o.ejectFactor, "eject-factor", 3, "ejection threshold: RTT EWMA over cluster median (must be > 1)")
 	fs.DurationVar(&o.ejectWindow, "eject-window", 1500*time.Millisecond, "how long the excess must be sustained before ejection")
-	fs.StringVar(&o.netSpec, "netfault", "", `deterministic network chaos on backend connections, e.g. "latency=0.3:200ms,reset=0.05" (empty = off)`)
-	fs.Uint64Var(&o.netSeed, "netfault-seed", 1, "seed for the network-chaos schedule")
+	fs.StringVar(&o.faultSpec, "fault", "", `deterministic network faults on backend connections, e.g. "latency=0.3:200ms,reset=0.05" (empty = off)`)
+	fs.Uint64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault-injection schedule")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -154,11 +154,14 @@ func (o *options) validate() error {
 	if o.eject && o.ejectFactor <= 1 {
 		return fmt.Errorf("bad -eject-factor: %v (must be > 1)", o.ejectFactor)
 	}
-	nspec, err := netfault.ParseSpec(o.netSpec, o.netSeed)
+	spec, err := fault.ParseSpec(o.faultSpec, o.faultSeed)
 	if err != nil {
-		return fmt.Errorf("bad -netfault: %v", err)
+		return fmt.Errorf("bad -fault: %v", err)
 	}
-	o.netfault = nspec
+	if spec.Tasks() {
+		return fmt.Errorf("bad -fault: %q names task faults, and the gate runs no tasks", o.faultSpec)
+	}
+	o.fault = spec
 	o.gateCfg = gate.Config{
 		Backends:       o.backends,
 		Policy:         policy,
@@ -171,10 +174,10 @@ func (o *options) validate() error {
 		Budget:         gate.BudgetConfig{Ratio: o.retryBudget, Burst: o.retryBurst},
 		Eject:          gate.EjectConfig{Enabled: o.eject, Factor: o.ejectFactor, Window: o.ejectWindow},
 	}
-	if o.netfault.Enabled() {
-		in := netfault.New(o.netfault)
+	if o.fault.Net() {
+		in := fault.New(o.fault)
 		o.gateCfg.WrapTransport = func(name string, rt http.RoundTripper) http.RoundTripper {
-			return netfault.NewTransport(rt, in, name)
+			return fault.NewTransport(rt, in, name)
 		}
 	}
 	// Dry-run the gate config so a bad backend name or policy fails at
@@ -227,8 +230,8 @@ func main() {
 	logger.Info("routing", "backends", opts.backends.String(), "policy", cfg.Policy.String(),
 		"poll", opts.poll, "alpha", opts.alpha,
 		"hedge", opts.hedge, "retry_budget", opts.retryBudget, "eject", opts.eject)
-	if opts.netfault.Enabled() {
-		logger.Info("network chaos armed on backend connections", "spec", opts.netfault.String())
+	if opts.fault.Net() {
+		logger.Info("network faults armed on backend connections", "spec", opts.fault.String())
 	}
 
 	httpSrv := newHTTPServer(opts.listen, g.Handler())

@@ -39,7 +39,7 @@ func TestParseOptionsDefaults(t *testing.T) {
 		t.Fatalf("default retry budget %+v", o.gateCfg.Budget)
 	}
 	if o.gateCfg.WrapTransport != nil {
-		t.Fatal("netfault transport wrapper set without -netfault")
+		t.Fatal("fault transport wrapper set without -fault")
 	}
 }
 
@@ -61,12 +61,12 @@ func TestParseOptionsPollIntervalAlias(t *testing.T) {
 }
 
 func TestParseOptionsNetfault(t *testing.T) {
-	o, err := parse(t, "-backend", "http://a:8080", "-netfault", "latency=0.3:200ms,reset=0.05")
+	o, err := parse(t, "-backend", "http://a:8080", "-fault", "latency=0.3:200ms,reset=0.05")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.gateCfg.WrapTransport == nil {
-		t.Fatal("-netfault did not install a transport wrapper")
+		t.Fatal("-fault did not install a transport wrapper")
 	}
 }
 
@@ -96,7 +96,11 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		{"-backend", "http://a", "-poll", "-1s"},             // bad poll
 		{"-backend", "http://a", "-attempts", "-2"},          // bad attempts
 		{"-backend", "http://a", "-log-format", "xml"},       // bad log format
-		{"-backend", "http://a", "-netfault", "explode=0.5"}, // unknown netfault clause
+		{"-backend", "http://a", "-fault", "explode=0.5"},    // unknown fault clause
+		{"-backend", "http://a", "-fault", "panic=0.1"},      // the gate runs no tasks
+		{"-backend", "http://a", "-netfault", "reset=0.1"},   // flag renamed to -fault
+		{"-backend", "http://a", "-scorers", "health:NaN"},   // weights must be finite
+		{"-backend", "http://a", "-scorers", "health:+Inf"},  // weights must be finite
 		{"-backend", "http://a", "-retry-budget", "-0.5"},    // negative budget
 		{"-backend", "http://a", "-eject-factor", "1"},       // factor must exceed 1
 		{"-backend", "dot.ted=http://a"},                     // '.' collides with the id separator

@@ -87,7 +87,7 @@ type Config struct {
 	// eject.go.
 	Eject EjectConfig
 	// WrapTransport, when set, wraps each backend client's HTTP
-	// transport — the hook netfault (and instrumentation) attach
+	// transport — the hook fault.Transport (and instrumentation) attach
 	// through. Called once per backend with its name and the stock
 	// tuned transport.
 	WrapTransport func(backend string, rt http.RoundTripper) http.RoundTripper

@@ -8,6 +8,7 @@ package gate
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,7 +31,8 @@ const (
 )
 
 // Policy selects a backend-picking strategy. For PolicyWeighted,
-// Weights maps scorer name → weight (> 0); the other kinds ignore it.
+// Weights maps scorer name → weight (finite, > 0); the other kinds
+// ignore it.
 type Policy struct {
 	Kind    string
 	Weights map[string]float64
@@ -59,8 +61,9 @@ func (p Policy) validate() error {
 				return fmt.Errorf("gate: unknown scorer %q (want %s, %s, %s or %s)",
 					name, ScorerAffinity, ScorerQueue, ScorerHealth, ScorerEjection)
 			}
-			if w <= 0 {
-				return fmt.Errorf("gate: scorer %q weight %v must be > 0", name, w)
+			// Written so NaN fails too: every comparison with NaN is false.
+			if !(w > 0 && w <= math.MaxFloat64) {
+				return fmt.Errorf("gate: scorer %q weight %v must be finite and > 0", name, w)
 			}
 		}
 		return nil

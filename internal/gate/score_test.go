@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -45,8 +46,10 @@ func TestPolicyValidate(t *testing.T) {
 	bad := []Policy{
 		{Kind: "random"},
 		{Kind: PolicyWeighted}, // no weights
-		{Kind: PolicyWeighted, Weights: map[string]float64{"latency": 1}},   // unknown scorer
-		{Kind: PolicyWeighted, Weights: map[string]float64{ScorerQueue: 0}}, // non-positive
+		{Kind: PolicyWeighted, Weights: map[string]float64{"latency": 1}},             // unknown scorer
+		{Kind: PolicyWeighted, Weights: map[string]float64{ScorerQueue: 0}},           // non-positive
+		{Kind: PolicyWeighted, Weights: map[string]float64{ScorerQueue: math.NaN()}},  // not a number
+		{Kind: PolicyWeighted, Weights: map[string]float64{ScorerQueue: math.Inf(1)}}, // not finite
 	}
 	for _, p := range bad {
 		if err := p.validate(); err == nil {
