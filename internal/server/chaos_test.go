@@ -142,6 +142,11 @@ func TestChildPanicPoisonsJob(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("poisoned job took %v; siblings were not retired", elapsed)
 	}
+	// Siblings are retired when workers next acquire them, which can be
+	// after the 500 is written: wait for the counter, boundedly.
+	for deadline := time.Now().Add(5 * time.Second); e.rt.Cancelled() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if e.rt.Cancelled() == 0 {
 		t.Error("no queued siblings were retired after the poison")
 	}
