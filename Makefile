@@ -48,10 +48,12 @@ bench-sim:
 
 # bench-kernels times the three child kinds of a mix job at 4 KiB (bzip2
 # and LZW round trips, SHA-1 + MD5) on the inputs of the repository
-# benchmark's kernels.*_4k_ns micro-measurements, allocations included;
-# TestMixChildAllocCeilings fails the build if those allocations grow.
+# benchmark's kernels.*_4k_ns micro-measurements, allocations included,
+# and BenchmarkKernelCosts times one task of every kernel family at the
+# sizes the simulator's task-class mixes were calibrated against;
+# TestMixChildAllocCeilings fails the build if the mix allocations grow.
 bench-kernels:
-	$(GO) test -run xxx -bench 'Bzip2Like4K|LZW4K|Digest4K' -benchmem -count=5 ./internal/kernels/
+	$(GO) test -run xxx -bench 'Bzip2Like4K|LZW4K|Digest4K|KernelCosts' -benchmem -count=5 ./internal/kernels/
 
 # bench-serve is the serving-path allocation gate (DESIGN.md §12, §13):
 # the TestZeroAlloc* tests fail the build if a steady-state unary or batch
@@ -77,10 +79,11 @@ bench-smoke:
 	test "$$(grep -c '"correct":true' out/bench-smoke.txt)" -eq 6
 
 # accept runs the acceptance scenarios behind the committed
-# BENCH_{serve,elastic,gate,chaos}.json (cmd/watsaccept; each scenario
-# file states its hypothesis and gates): batch/stream vs unary admission
-# (DESIGN.md §12), the elastic pool vs a fixed one (§10), workload-aware
-# routing vs baselines plus failover (§13), gray-failure defences (§14).
+# BENCH_{serve,elastic,gate,chaos,live}.json (cmd/watsaccept; each
+# scenario file states its hypothesis and gates): batch/stream vs unary
+# admission (DESIGN.md §12), the elastic pool vs a fixed one (§10),
+# workload-aware routing vs baselines plus failover (§13), gray-failure
+# defences (§14), the paper's policies on live runtimes (EXPERIMENTS.md).
 # Every run also checks job conservation at every layer. SCENARIO=gate
 # runs one; `go run ./cmd/watsaccept -scenario all -check -out .`
 # regenerates the committed artifacts.
@@ -140,7 +143,7 @@ chaos-demo:
 # twin-demo is the digital-twin acceptance run (DESIGN.md §11): watsd
 # serves a 3s open-loop run with the decision ledger streaming to
 # out/twin-capture.ndjson, then watstwin replays the capture under all
-# eight policies (plus swept WATS parameters) twice with the same seed.
+# six live policies (plus swept WATS parameters) twice with the same seed.
 # The gates: the twin's p99 under the live policy must land within 15%
 # of the live ledger's, the two reports must be byte-identical
 # (determinism), and the report must name a best policy. The committed

@@ -94,6 +94,7 @@ type chaosRun struct {
 	Assigned     uint64            `json:"netfault_assigned"`
 	Routed       map[string]uint64 `json:"routed_by_backend"`
 	EjectionsAll map[string]uint64 `json:"ejections_by_backend"`
+	BreakerOpens int64             `json:"breaker_opens"`
 }
 
 type chaosReport struct {
@@ -122,9 +123,9 @@ func (p chaosParams) run(rep *harness.Report, check bool) (any, error) {
 		if err := p.one(rep, res); err != nil {
 			return nil, fmt.Errorf("defended=%v run: %w", res.Defended, err)
 		}
-		fmt.Printf("  defended=%-5v healthy p99 %7.2fms  degraded p99 %7.2fms  (%d sent, %d ok; %d hedges, %d wins, %d reroutes, %d denied; victim ejected %dx, probed %dx)\n",
+		fmt.Printf("  defended=%-5v healthy p99 %7.2fms  degraded p99 %7.2fms  (%d sent, %d ok; %d hedges, %d wins, %d reroutes, %d denied; victim ejected %dx, probed %dx; %d breaker opens)\n",
 			res.Defended, res.Healthy.P99Ms, res.Degraded.P99Ms, res.Sent, res.OK,
-			res.Defense.Hedges, res.Defense.HedgeWins, res.Defense.RerouteLaunches, res.Defense.BudgetDenied, res.Ejections, res.Probes)
+			res.Defense.Hedges, res.Defense.HedgeWins, res.Defense.RerouteLaunches, res.Defense.BudgetDenied, res.Ejections, res.Probes, res.BreakerOpens)
 	}
 	if r.Off.Healthy.P99Ms > 0 {
 		r.HealthyTax = harness.Round3(r.On.Healthy.P99Ms / r.Off.Healthy.P99Ms)
@@ -244,6 +245,7 @@ func (p chaosParams) one(rep *harness.Report, res *chaosRun) error {
 	res.Routed, res.EjectionsAll = map[string]uint64{}, map[string]uint64{}
 	for i, s := range c.Gate.Snapshot() {
 		res.Routed[s.Name], res.EjectionsAll[s.Name] = s.Routed, s.Ejections
+		res.BreakerOpens += s.BreakerOpens
 		if i == 0 {
 			res.Ejections, res.Probes = s.Ejections, s.Probes
 		}

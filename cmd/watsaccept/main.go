@@ -2,12 +2,13 @@
 // made beyond the simulator — batch/stream admission (serve), the
 // elastic pool (elastic), workload-aware cluster routing and failover
 // (gate), gray-failure defence (chaos) — as one in-process run each on
-// internal/harness, over real loopback HTTP. A scenario is one file:
+// internal/harness, over real loopback HTTP, and the paper's policies on
+// bare live runtimes over real kernels (live). A scenario is one file:
 // its parameters are a struct literal (the values behind the committed
 // BENCH_<scenario>.json, deliberately not flags), its header states the
 // hypothesis and the gates. Every run also checks job conservation at
-// every layer (harness.Cluster.Close); a broken invariant fails the run
-// with or without -check.
+// every layer (harness.Cluster.Close; task completeness for live); a
+// broken invariant fails the run with or without -check.
 //
 // Usage:
 //
@@ -34,10 +35,11 @@ var scenarios = []struct {
 	{"elastic", elastic.run},
 	{"gate", routing.run},
 	{"chaos", chaos.run},
+	{"live", live.run},
 }
 
 func main() {
-	name := flag.String("scenario", "all", "serve, elastic, gate, chaos or all")
+	name := flag.String("scenario", "all", "serve, elastic, gate, chaos, live or all")
 	check := flag.Bool("check", false, "enforce the scenario's acceptance gates")
 	out := flag.String("out", "", "directory for BENCH_<scenario>.json (empty = print the JSON)")
 	flag.Parse()

@@ -67,4 +67,13 @@ func TestScenariosHoldInvariants(t *testing.T) {
 			t.Errorf("chaos defended=%v: %d sent, %d failed, %d faults assigned", r.Defended, r.Sent, r.Failed, r.Assigned)
 		}
 	}
+
+	l := live
+	l.Machines, l.Rounds, l.Repeats = l.Machines[:1], 1, 1
+	lr := run("live", l.run).(*liveReport)
+	for _, k := range l.Policies {
+		if ms := lr.Machines[0].MakespanMS[string(k)]; len(ms) != 1 || ms[0] <= 0 {
+			t.Errorf("live %s: makespans %v", k, ms)
+		}
+	}
 }

@@ -17,14 +17,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"wats/internal/amc"
 	"wats/internal/experiments"
-	"wats/internal/obs"
 	"wats/internal/report"
 	"wats/internal/sched"
-	"wats/internal/sim"
-	"wats/internal/trace"
-	"wats/internal/workload"
 )
 
 func main() {
@@ -34,17 +29,8 @@ func main() {
 		batches = flag.Int("batches", 0, "override batches/waves per run (0 = workload default)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		outDir  = flag.String("out", "", "also write each table to <out>/<name>.{txt,csv}")
-		chrome  = flag.String("chrome", "", "instead of an experiment, write a Chrome trace of one simulated WATS GA run on AMC 2 to this file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
-
-	if *chrome != "" {
-		if err := writeChromeTrace(*chrome); err != nil {
-			fmt.Fprintln(os.Stderr, "watsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opt := experiments.Options{Batches: *batches}
 	for s := 1; s <= *seeds; s++ {
@@ -64,55 +50,39 @@ func main() {
 	}
 }
 
-// outDirectory, when set, receives a .txt and .csv copy of every table.
+// outDirectory, when set, receives a copy of every table (.txt, .csv)
+// and every grid's plot data (.dat.csv).
 var outDirectory string
 
-// slugCounter disambiguates multiple tables within one experiment.
-var slugCounter = map[string]int{}
+// saved numbers a slug's repeats within one run (fig6, fig6_2, ...).
+var saved = map[string]int{}
 
-func writeOut(slug string, t *report.Table) {
+func save(slug, ext, data string) {
 	if outDirectory == "" {
 		return
 	}
-	slugCounter[slug]++
-	if n := slugCounter[slug]; n > 1 {
+	saved[slug+ext]++
+	if n := saved[slug+ext]; n > 1 {
 		slug = fmt.Sprintf("%s_%d", slug, n)
 	}
-	base := filepath.Join(outDirectory, slug)
-	if err := os.WriteFile(base+".txt", []byte(t.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "watsbench: write:", err)
-	}
-	if err := os.WriteFile(base+".csv", []byte(t.CSV()), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(outDirectory, slug+ext), []byte(data), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "watsbench: write:", err)
 	}
 }
 
-func emit(t *report.Table, csv bool) {
+func emitNamed(slug string, t *report.Table, csv bool) {
 	if csv {
 		fmt.Print(t.CSV())
 	} else {
 		fmt.Println(t.String())
 	}
-}
-
-func emitNamed(slug string, t *report.Table, csv bool) {
-	emit(t, csv)
-	writeOut(slug, t)
+	save(slug, ".txt", t.String())
+	save(slug, ".csv", t.CSV())
 }
 
 // writeGridData writes the plot-friendly numeric CSV for a grid.
 func writeGridData(slug string, g *experiments.Grid) {
-	if outDirectory == "" {
-		return
-	}
-	slugCounter[slug+".dat"]++
-	if n := slugCounter[slug+".dat"]; n > 1 {
-		slug = fmt.Sprintf("%s_%d", slug, n)
-	}
-	path := filepath.Join(outDirectory, slug+".dat.csv")
-	if err := os.WriteFile(path, []byte(experiments.GridCSV(g)), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "watsbench: write:", err)
-	}
+	save(slug, ".dat.csv", experiments.GridCSV(g))
 }
 
 func run(exp string, opt experiments.Options, csv bool) error {
@@ -196,39 +166,4 @@ func policiesTable() *report.Table {
 		t.AddRow(string(tr.Kind), tr.Spawn, tr.Allocation, tr.Acquire)
 	}
 	return t
-}
-
-// writeChromeTrace runs one short WATS GA simulation on AMC 2 with the
-// trace recorder attached and exports it through the shared Chrome
-// exporter — the simulator half of the unified observability layer (the
-// live half is watsrun -trace; the two files merge into one timeline).
-func writeChromeTrace(path string) error {
-	rec := trace.New()
-	w := workload.GA(7)
-	w.Batches = 6
-	res, err := sim.New(amc.AMC2, sched.MustNew(sched.KindWATS),
-		sim.Config{Seed: 7, Tracer: rec}).Run(w)
-	if err != nil {
-		return err
-	}
-	th := make(map[int]string, amc.AMC2.NumCores())
-	for c := 0; c < amc.AMC2.NumCores(); c++ {
-		th[c] = fmt.Sprintf("core %d (%.1f GHz)", c, amc.AMC2.Speed(c))
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteChrome(f, obs.Stream{
-		Name: "watsbench sim: WATS GA on AMC 2", Events: obs.FromRecorder(rec), Threads: th,
-	}); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Println(res)
-	fmt.Printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n", path)
-	return nil
 }

@@ -80,7 +80,7 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.listen, "listen", ":8080", "address to serve the job API and debug mux on")
 	fs.IntVar(&o.fast, "fast", 2, "number of fast workers")
 	fs.IntVar(&o.slow, "slow", 2, "number of slow workers (0.4x speed)")
-	fs.StringVar(&o.policy, "policy", "WATS", "scheduling policy kind (Share|Cilk|PFT|RTS|WATS|WATS-NP|WATS-TS|WATS-Mem)")
+	fs.StringVar(&o.policy, "policy", "WATS", "scheduling policy kind (Share|Cilk|PFT|WATS|WATS-NP|WATS-Mem; the snatching RTS and WATS-TS cannot run live)")
 	fs.BoolVar(&o.noEmu, "no-speed-emulation", false, "disable the asymmetry emulation stalls (serve at raw core speed)")
 	fs.IntVar(&o.maxInflight, "max-inflight", 64, "admitted in-flight job bound; beyond it submissions get 429")
 	fs.IntVar(&o.maxQueued, "max-queued", 0, "runtime spawn-backpressure depth, reused as the shed threshold (0 = 4096)")
@@ -108,7 +108,11 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 // fields (arch, policy kind, fault spec).
 func (o *options) validate() error {
 	o.kind = sched.Kind(o.policy)
-	if _, err := sched.NewStrategy(o.kind); err != nil {
+	s, err := sched.NewStrategy(o.kind)
+	if err == nil {
+		err = sched.CheckLive(s)
+	}
+	if err != nil {
 		return fmt.Errorf("bad -policy: %v", err)
 	}
 	// amc.New, not MustNew: -fast/-slow are operator input, and a bad

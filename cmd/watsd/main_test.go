@@ -70,6 +70,8 @@ func TestParseOptionsRejectsBadValues(t *testing.T) {
 		{"negative slo", []string{"-autoscale-slo", "-1s"}, "-autoscale-slo"},
 		{"zero fast and slow", []string{"-fast", "0", "-slow", "0"}, "-fast/-slow"},
 		{"bad policy", []string{"-policy", "FIFO"}, "-policy"},
+		{"snatching policy RTS", []string{"-policy", "RTS"}, "behave as Cilk"},
+		{"snatching policy WATS-TS", []string{"-policy", "WATS-TS"}, "behave as WATS"},
 		{"zero max inflight", []string{"-max-inflight", "0"}, "-max-inflight"},
 		{"bad log format", []string{"-log-format", "xml"}, "-log-format"},
 		{"empty log format", []string{"-log-format", ""}, "-log-format"},

@@ -1,21 +1,24 @@
 // Command watsim runs a single simulation — one architecture, one
 // scheduler, one workload — and prints detailed results: per-core
 // statistics, learned task classes, optionally an ASCII Gantt chart of
-// the execution and a CSV segment trace.
+// the execution, a CSV segment trace and a Chrome trace of the run.
 //
 // Usage:
 //
 //	watsim -arch amc2 -policy WATS -workload GA -batches 4 -gantt
 //	watsim -arch amc5 -policy RTS -workload SHA-1 -seed 3 -detail
 //	watsim -arch amc1 -policy WATS -workload Ferret -trace-csv ferret.csv
+//	watsim -workload GA -batches 6 -seed 7 -chrome wats-ga.json
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
 
 	"wats/internal/amc"
+	"wats/internal/obs"
 	"wats/internal/sched"
 	"wats/internal/sim"
 	"wats/internal/trace"
@@ -33,6 +36,7 @@ func main() {
 		detail   = flag.Bool("detail", false, "print per-core breakdown")
 		gantt    = flag.Bool("gantt", false, "print an ASCII Gantt chart")
 		traceCSV = flag.String("trace-csv", "", "write the segment trace as CSV to this file")
+		chrome   = flag.String("chrome", "", "write the run as a Chrome trace to this file (load in ui.perfetto.dev)")
 	)
 	flag.Parse()
 
@@ -71,7 +75,7 @@ func main() {
 
 	cfg := sim.Config{Seed: *seed}
 	var rec *trace.Recorder
-	if *gantt || *traceCSV != "" {
+	if *gantt || *traceCSV != "" || *chrome != "" {
 		rec = trace.New()
 		cfg.Tracer = rec
 	}
@@ -94,6 +98,22 @@ func main() {
 			fatal("writing trace: %v", err)
 		}
 		fmt.Printf("wrote %d segments to %s\n", len(rec.Segments), *traceCSV)
+	}
+	if *chrome != "" {
+		th := make(map[int]string, arch.NumCores())
+		for c := range arch.NumCores() {
+			th[c] = fmt.Sprintf("core %d (%.1f GHz)", c, arch.Speed(c))
+		}
+		var buf bytes.Buffer
+		err := obs.WriteChrome(&buf, obs.Stream{Name: "watsim " + res.Policy + "/" + res.Workload + " on " + arch.Name,
+			Events: obs.FromRecorder(rec), Threads: th})
+		if err == nil {
+			err = os.WriteFile(*chrome, buf.Bytes(), 0o644)
+		}
+		if err != nil {
+			fatal("writing Chrome trace: %v", err)
+		}
+		fmt.Printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n", *chrome)
 	}
 }
 

@@ -66,3 +66,38 @@ func TestDesignNamesExistingTests(t *testing.T) {
 		t.Fatal("DESIGN.md names no tests at all; the pattern is broken")
 	}
 }
+
+// TestDocsNameExistingCommands fails when a document a reader follows to
+// run something — README.md, DESIGN.md, EXPERIMENTS.md, the gnuplot
+// scripts' headers, the repository's skill notes (.*/skills/*/SKILL.md) —
+// names a cmd/<x> or examples/<x> that is not a directory of the module.
+// A brace list (cmd/{a,b}) names each member.
+func TestDocsNameExistingCommands(t *testing.T) {
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	for _, pat := range []string{"plots/*.plt", ".*/skills/*/SKILL.md"} {
+		found, err := filepath.Glob(pat)
+		if err != nil || len(found) == 0 {
+			t.Fatalf("nothing matches %s (%v)", pat, err)
+		}
+		docs = append(docs, found...)
+	}
+	refRe := regexp.MustCompile(`\b(cmd|examples)/(\{[\w,]+\}|\w+)`)
+	named := 0
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range refRe.FindAllStringSubmatch(string(src), -1) {
+			for _, name := range strings.Split(strings.Trim(m[2], "{}"), ",") {
+				named++
+				if fi, err := os.Stat(filepath.Join(m[1], name)); err != nil || !fi.IsDir() {
+					t.Errorf("%s names %s/%s, which does not exist", doc, m[1], name)
+				}
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("the documents name no cmd/ or examples/ directory at all; the pattern is broken")
+	}
+}

@@ -28,8 +28,8 @@ func main() {
 		amc.CGroup{Freq: 2.0, N: 2}, amc.CGroup{Freq: 0.8, N: 2})
 
 	// --- 1. Recursive parallel merge sort under each policy kind ------
-	// Any sched.Kind the simulator accepts runs live too; the runtime
-	// builds the same Strategy from the kind name.
+	// Every sched.Kind but the snatching RTS and WATS-TS runs live; the
+	// runtime builds the same Strategy from the kind name.
 	for _, kind := range []sched.Kind{sched.KindCilk, sched.KindPFT, sched.KindWATS} {
 		rt, err := runtime.New(runtime.Config{Arch: arch, Policy: kind, Seed: 1})
 		if err != nil {

@@ -12,9 +12,10 @@
 // would do so again, and retrying it duplicates work the scheduler
 // already accounted. The circuit breaker counts only transport errors
 // and 503s (a server that is down or draining), not 429s (flow control
-// from a healthy server): after Breaker.Threshold consecutive failures
-// it opens and rejects submissions locally for Breaker.Cooldown, then
-// lets one probe through (half-open) and closes again on success.
+// from a healthy server) nor attempts the caller cancelled: after
+// Breaker.Threshold consecutive failures it opens and rejects submissions
+// locally for Breaker.Cooldown, then lets one probe through (half-open)
+// and closes again on success.
 //
 // All jitter flows through internal/rng, so a seeded client retries on
 // a reproducible schedule in tests.
@@ -266,6 +267,14 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte) (Resu
 			}
 		} else {
 			lastErr = err
+			if errors.Is(ctx.Err(), context.Canceled) {
+				// The caller walked away (a hedge loser the gate cancelled):
+				// no verdict on the backend, so no failure and no probe
+				// slot kept. A deadline, the caller's or the attempt's,
+				// still counts.
+				c.br.abandon()
+				return res, ctx.Err()
+			}
 			c.br.record(false)
 			if ctx.Err() != nil {
 				return res, ctx.Err()
@@ -510,6 +519,18 @@ func (b *breaker) currentState() string {
 		}
 		return BreakerOpen
 	}
+}
+
+// abandon reports an attempt its caller cancelled: the outcome says
+// nothing about the backend, so it frees a half-open probe slot the
+// attempt held without counting a failure.
+func (b *breaker) abandon() {
+	if b.threshold < 0 {
+		return
+	}
+	b.mu.Lock()
+	b.probing = false
+	b.mu.Unlock()
 }
 
 // record reports an attempt outcome to the breaker: success closes a

@@ -205,6 +205,68 @@ func TestBreaker429Resets(t *testing.T) {
 	}
 }
 
+// TestBreakerIgnoresCancelledAttempts: an attempt its caller cancels
+// mid-flight (a hedge loser the gate gave up on) says nothing about the
+// backend, so eight of them leave a threshold-2 breaker closed, and a
+// cancelled half-open probe hands its slot to the next caller instead of
+// re-opening the breaker. A deadline still counts as a failure.
+func TestBreakerIgnoresCancelledAttempts(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/ok":
+			w.Write([]byte(`ok`))
+			return
+		case "/signal":
+			arrived <- struct{}{}
+		}
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+	c, _ := New(Config{BaseURL: ts.URL, Breaker: BreakerConfig{Threshold: 2, Cooldown: 20 * time.Millisecond}})
+	cancelled := func() error {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() { <-arrived; cancel() }()
+		_, err := c.Do(ctx, http.MethodGet, "/signal", nil)
+		return err
+	}
+	timedOut := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		_, err := c.Do(ctx, http.MethodGet, "/hang", nil)
+		return err
+	}
+
+	for i := 0; i < 8; i++ {
+		if err := cancelled(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled attempt %d: %v", i, err)
+		}
+	}
+	if st, opens := c.BreakerState(), c.Stats().BreakerOpens; st != BreakerClosed || opens != 0 {
+		t.Fatalf("after 8 cancelled attempts: breaker %s, %d opens; want closed, 0", st, opens)
+	}
+
+	for i := 0; i < 2; i++ {
+		if err := timedOut(); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("timed-out attempt %d: %v", i, err)
+		}
+	}
+	if opens := c.Stats().BreakerOpens; opens != 1 {
+		t.Fatalf("2 timeouts at threshold 2: %d opens, want 1", opens)
+	}
+
+	time.Sleep(30 * time.Millisecond) // the cooldown: the next attempt is the probe
+	if err := cancelled(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled probe: %v", err)
+	}
+	if res, err := c.Do(context.Background(), http.MethodGet, "/ok", nil); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("after a cancelled probe the next caller must probe: res %+v err %v", res, err)
+	}
+	if st := c.BreakerState(); st != BreakerClosed {
+		t.Fatalf("a successful probe leaves the breaker %s, want closed", st)
+	}
+}
+
 // TestTransportErrorsRetried: a dead endpoint exhausts the budget and
 // surfaces the transport error.
 func TestTransportErrorsRetried(t *testing.T) {

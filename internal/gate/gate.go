@@ -328,6 +328,7 @@ type BackendSnapshot struct {
 	Name          string             `json:"name"`
 	Ready         bool               `json:"ready"`
 	Breaker       string             `json:"breaker"`
+	BreakerOpens  int64              `json:"breaker_opens"`
 	Routed        uint64             `json:"routed"`
 	RoutedByClass map[string]uint64  `json:"routed_by_class"`
 	Reroutes      uint64             `json:"reroutes"`
@@ -350,6 +351,7 @@ func (g *Gate) Snapshot() []BackendSnapshot {
 			Name:          b.name,
 			Ready:         r.ready,
 			Breaker:       r.breaker,
+			BreakerOpens:  b.cl.Stats().BreakerOpens,
 			Routed:        b.routedTotal(),
 			RoutedByClass: map[string]uint64{},
 			Reroutes:      b.reroutes.Load(),

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -197,13 +198,50 @@ func TestGateAsyncIDRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &poll); err != nil || poll.ID != "node1.j000007" || poll.Status != "completed" {
 		t.Fatalf("poll view %s (err %v)", body, err)
 	}
+}
 
-	// Unroutable ids fail fast at the gate, not at a backend.
-	if resp, _ := getJSON(t, ts.URL+"/v1/jobs/j000007"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unprefixed id: HTTP %d, want 400", resp.StatusCode)
+// TestGatePollIDs: a poll reaches its backend only as GET
+// /v1/jobs/<id> with <id> one path segment; every other id fails fast at
+// the gate, before any backend sees it — no climbing to another backend
+// endpoint, no smuggled query.
+func TestGatePollIDs(t *testing.T) {
+	f := newFake(t)
+	var (
+		mu        sync.Mutex
+		forwarded []string
+	)
+	f.poll = func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		forwarded = append(forwarded, r.URL.RequestURI())
+		mu.Unlock()
+		w.Write([]byte(`{"id":"j000007","workload":"w","status":"completed","queue_wait_ms":0,"exec_ms":3}`))
 	}
-	if resp, _ := getJSON(t, ts.URL+"/v1/jobs/ghost.j000007"); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown backend prefix: HTTP %d, want 404", resp.StatusCode)
+	_, ts := newGateTS(t, Config{Backends: []BackendConf{{Name: "node1", URL: f.ts.URL}}})
+	for _, row := range []struct {
+		id   string
+		code int
+		to   string // the backend request, "" = none
+	}{
+		{"node1.j000007", http.StatusOK, "/v1/jobs/j000007"},
+		{"j000007", http.StatusBadRequest, ""},
+		{"ghost.j000007", http.StatusNotFound, ""},
+		{"node1.", http.StatusBadRequest, ""},
+		{"node1.x%2F..%2F..%2Fstats", http.StatusBadRequest, ""},
+		{"node1.j1%3Fx=1", http.StatusBadRequest, ""},
+	} {
+		mu.Lock()
+		forwarded = nil
+		mu.Unlock()
+		resp, body := getJSON(t, ts.URL+"/v1/jobs/"+row.id)
+		if resp.StatusCode != row.code {
+			t.Errorf("GET /v1/jobs/%s: HTTP %d, want %d: %s", row.id, resp.StatusCode, row.code, body)
+		}
+		mu.Lock()
+		got := strings.Join(forwarded, " ")
+		mu.Unlock()
+		if got != row.to {
+			t.Errorf("GET /v1/jobs/%s reached the backend as %q, want %q", row.id, got, row.to)
+		}
 	}
 }
 

@@ -49,13 +49,13 @@ var goldenBreakers = [3]string{client.BreakerClosed, client.BreakerOpen, client.
 
 // goldenClients builds, for each breaker state, per clients whose
 // breaker reports it: a closed one has seen no traffic; an open one has
-// failed once at threshold 1 (the request's context is already cancelled,
-// so nothing is dialled); a half-open one is an open one whose cooldown
-// has passed.
+// failed once at threshold 1 (the request's deadline has already passed,
+// so nothing is dialled, and a deadline counts where a cancellation would
+// not); a half-open one is an open one whose cooldown has passed.
 func goldenClients(t *testing.T, per int) [3][]*client.Client {
 	t.Helper()
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
+	dead, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
 	var out [3][]*client.Client
 	for state, cooldown := range [3]time.Duration{0, time.Hour, time.Nanosecond} {
 		for i := 0; i < per; i++ {

@@ -335,6 +335,13 @@ func (g *Gate) handlePoll(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "job id %q has no backend prefix (want <backend>.<id>)", id)
 		return
 	}
+	// Only one segment of a backend name's alphabet is forwarded: a '/' or
+	// ".." would climb to another backend endpoint, a '?' or '#' smuggle a
+	// query, whatever id format the backend uses.
+	if !nameRE.MatchString(rest) {
+		httpError(w, http.StatusBadRequest, "job id %q: %q is not one path segment of [A-Za-z0-9_-]", id, rest)
+		return
+	}
 	var b *backend
 	for _, cand := range g.backends {
 		if cand.name == name {

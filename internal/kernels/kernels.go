@@ -9,8 +9,9 @@
 // The kernels serve two purposes in the reproduction:
 //
 //  1. They are the real work units executed by the live goroutine runtime
-//     (package runtime) in the examples and cmd/watsrun, making the
-//     scheduler exercise genuine CPU-bound tasks rather than sleeps.
+//     (package runtime) in the examples, watsd's workloads and the
+//     watsaccept live scenario, making the scheduler exercise genuine
+//     CPU-bound tasks rather than sleeps.
 //  2. Their relative costs across input sizes ground the task-class mixes
 //     of package workload (see DESIGN.md).
 //

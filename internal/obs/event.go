@@ -34,8 +34,8 @@ const (
 	// Victim's pool for Cluster; Dur is the latency since the acquisition
 	// walk began.
 	EvSteal
-	// EvSnatch is a preemption of Victim's running task by Worker (inert
-	// on the live runtime, recorded by simulator traces).
+	// EvSnatch is a preemption of Victim's running task by Worker
+	// (simulator traces only: the live runtime cannot snatch).
 	EvSnatch
 	// EvComplete is a task completion on Worker: Class ran for Dur
 	// nanoseconds of Eq.2-normalized (fastest-core) work.

@@ -9,18 +9,18 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // WorkerCounters is the engine-agnostic per-worker counter row the
-// /metrics handler renders (the live runtime's Stats() maps onto it; see
-// cmd/watsrun).
+// /metrics handler renders (server.NewDebugMux maps the live runtime's
+// Stats() onto it).
 type WorkerCounters struct {
 	Worker        int
 	Group         int
 	TasksRun      int64
 	Steals        int64
 	StealAttempts int64
-	Snatches      int64
 	Cancelled     int64
 	Panics        int64
 	BusyNanos     int64
@@ -32,24 +32,21 @@ type WorkerCounters struct {
 }
 
 // MetricsHandler serves the tracer's counters and histograms in the
-// Prometheus text exposition format. tracer, workers and jobs are getters
-// so one long-lived debug server can follow a sequence of runs; any of
-// them may be nil or return nil. jobs adds the service-level job metrics
-// of a job server (see JobMetrics).
-func MetricsHandler(tracer func() *Tracer, workers func() []WorkerCounters, jobs func() *JobMetrics) http.Handler {
+// Prometheus text exposition format. Any argument may be nil; workers is
+// read on every scrape, and jobs adds the service-level job metrics of a
+// job server (see JobMetrics).
+func MetricsHandler(tracer *Tracer, workers func() []WorkerCounters, jobs *JobMetrics) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		var sb strings.Builder
-		if t := tracer(); t != nil {
-			writeTracerMetrics(&sb, t)
+		if tracer != nil {
+			writeTracerMetrics(&sb, tracer)
 		}
 		if workers != nil {
 			writeWorkerMetrics(&sb, workers())
 		}
 		if jobs != nil {
-			if m := jobs(); m != nil {
-				writeJobMetrics(&sb, m)
-			}
+			writeJobMetrics(&sb, jobs)
 		}
 		_, _ = w.Write([]byte(sb.String()))
 	})
@@ -64,7 +61,6 @@ func writeTracerMetrics(sb *strings.Builder, t *Tracer) {
 	counter("wats_pops_total", "Own-pool task acquisitions.", c.Pops)
 	counter("wats_steal_attempts_total", "Victim-pool steal probes, successful or not.", c.StealAttempts)
 	counter("wats_steals_total", "Successful steals.", c.Steals)
-	counter("wats_snatches_total", "Preemptions of running tasks.", c.Snatches)
 	counter("wats_completes_total", "Completed tasks.", c.Completes)
 	counter("wats_cancels_total", "Tasks dropped unrun because their job context was done.", c.Cancels)
 	counter("wats_panics_total", "Task panics recovered by the isolation layer.", c.Panics)
@@ -129,7 +125,6 @@ func writeWorkerMetrics(sb *strings.Builder, ws []WorkerCounters) {
 	gauge("wats_worker_tasks_total", "Tasks executed per worker.", func(w WorkerCounters) int64 { return w.TasksRun })
 	gauge("wats_worker_steals_total", "Successful steals per worker.", func(w WorkerCounters) int64 { return w.Steals })
 	gauge("wats_worker_steal_attempts_total", "Victim-pool probes per worker.", func(w WorkerCounters) int64 { return w.StealAttempts })
-	gauge("wats_worker_snatches_total", "Preemptions per worker.", func(w WorkerCounters) int64 { return w.Snatches })
 	gauge("wats_worker_cancelled_total", "Tasks dropped unrun per worker (job context done).", func(w WorkerCounters) int64 { return w.Cancelled })
 	gauge("wats_worker_panics_total", "Recovered task panics per worker.", func(w WorkerCounters) int64 { return w.Panics })
 	gauge("wats_worker_busy_nanos_total", "Busy time per worker (stalls included).", func(w WorkerCounters) int64 { return w.BusyNanos })
@@ -146,30 +141,20 @@ func writeWorkerMetrics(sb *strings.Builder, ws []WorkerCounters) {
 // duplicate registration (tests construct many tracers).
 var (
 	expvarOnce   sync.Once
-	expvarTracer func() *Tracer
-	expvarMu     sync.Mutex
+	expvarTracer atomic.Pointer[Tracer]
 )
 
-// PublishExpvar exposes the tracer's counters under the expvar name
-// "wats" (served by expvar's /debug/vars). Later calls rebind the getter,
-// so a long-lived debug server follows the most recent run.
-func PublishExpvar(tracer func() *Tracer) {
-	expvarMu.Lock()
-	expvarTracer = tracer
-	expvarMu.Unlock()
+// publishExpvar exposes the tracer's counters under the expvar name
+// "wats" (served by expvar's /debug/vars). The name is process-wide, so
+// it serves the most recently published tracer.
+func publishExpvar(t *Tracer) {
+	expvarTracer.Store(t)
 	expvarOnce.Do(func() {
 		expvar.Publish("wats", expvar.Func(func() any {
-			expvarMu.Lock()
-			get := expvarTracer
-			expvarMu.Unlock()
-			if get == nil {
-				return nil
+			if t := expvarTracer.Load(); t != nil {
+				return t.Counters()
 			}
-			t := get()
-			if t == nil {
-				return nil
-			}
-			return t.Counters()
+			return nil
 		}))
 	})
 }
@@ -177,11 +162,11 @@ func PublishExpvar(tracer func() *Tracer) {
 // NewMux builds the debug server: Prometheus /metrics, pprof under
 // /debug/pprof/, expvar under /debug/vars, the scheduler snapshot as JSON
 // at /debug/wats, and the buffered events as a Chrome trace at
-// /debug/wats/trace (save it and load in Perfetto). All getters may be
-// nil or return nil while no run is active; jobs, when non-nil, folds a
-// job server's per-job metrics into /metrics.
-func NewMux(tracer func() *Tracer, snapshot func() any, workers func() []WorkerCounters, jobs func() *JobMetrics) *http.ServeMux {
-	PublishExpvar(tracer)
+// /debug/wats/trace (save it and load in Perfetto). Any argument may be
+// nil; jobs, when non-nil, folds a job server's per-job metrics into
+// /metrics.
+func NewMux(tracer *Tracer, snapshot func() any, workers func() []WorkerCounters, jobs *JobMetrics) *http.ServeMux {
+	publishExpvar(tracer)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(tracer, workers, jobs))
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -201,13 +186,12 @@ func NewMux(tracer func() *Tracer, snapshot func() any, workers func() []WorkerC
 		_ = enc.Encode(s)
 	})
 	mux.HandleFunc("/debug/wats/trace", func(w http.ResponseWriter, r *http.Request) {
-		t := tracer()
-		if t == nil {
+		if tracer == nil {
 			http.Error(w, "no active tracer", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_ = WriteChrome(w, Stream{Name: "wats-live", Events: t.Events()})
+		_ = WriteChrome(w, Stream{Name: "wats-live", Events: tracer.Events()})
 	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {

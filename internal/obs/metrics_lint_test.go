@@ -29,11 +29,7 @@ func TestMetricsLint(t *testing.T) {
 	jobs.Completed("f", time.Millisecond, 2*time.Millisecond)
 	workers := []WorkerCounters{{Worker: 0, Group: 0, TasksRun: 1, BusyNanos: 1000, EnergyJoules: 0.5}}
 
-	h := MetricsHandler(
-		func() *Tracer { return tr },
-		func() []WorkerCounters { return workers },
-		func() *JobMetrics { return jobs },
-	)
+	h := MetricsHandler(tr, func() []WorkerCounters { return workers }, jobs)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()

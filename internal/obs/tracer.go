@@ -31,7 +31,6 @@ type Tracer struct {
 	pops      atomic.Uint64
 	stealTry  atomic.Uint64
 	steals    atomic.Uint64
-	snatches  atomic.Uint64
 	completes atomic.Uint64
 	reparts   atomic.Uint64
 	cancels   atomic.Uint64
@@ -146,15 +145,6 @@ func (t *Tracer) Steal(worker, victim, cluster int, class string, probes int, la
 	})
 }
 
-// Snatch records a preemption of victim's running task by worker.
-func (t *Tracer) Snatch(worker, victim int, class string) {
-	t.snatches.Add(1)
-	t.ringFor(worker).put(Event{
-		TS: t.now(), Kind: EvSnatch, Worker: int32(worker),
-		Cluster: -1, Victim: int32(victim), Class: class,
-	})
-}
-
 // Complete records a task completion with its Eq.2-normalized execution
 // time.
 func (t *Tracer) Complete(worker, cluster int, class string, work time.Duration) {
@@ -247,7 +237,6 @@ type Counters struct {
 	Pops          uint64 `json:"pops"`
 	StealAttempts uint64 `json:"steal_attempts"`
 	Steals        uint64 `json:"steals"`
-	Snatches      uint64 `json:"snatches"`
 	Completes     uint64 `json:"completes"`
 	Repartitions  uint64 `json:"repartitions"`
 	Cancels       uint64 `json:"cancels"`
@@ -269,7 +258,6 @@ func (t *Tracer) Counters() Counters {
 		Pops:          t.pops.Load(),
 		StealAttempts: t.stealTry.Load(),
 		Steals:        t.steals.Load(),
-		Snatches:      t.snatches.Load(),
 		Completes:     t.completes.Load(),
 		Repartitions:  t.reparts.Load(),
 		Cancels:       t.cancels.Load(),

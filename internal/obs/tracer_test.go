@@ -59,12 +59,11 @@ func TestMetricsHandler(t *testing.T) {
 	jobs.Expired("sha1", time.Millisecond)
 	jobs.Shed()
 
-	h := MetricsHandler(
-		func() *Tracer { return tr },
+	h := MetricsHandler(tr,
 		func() []WorkerCounters {
 			return []WorkerCounters{{Worker: 0, Group: 0, TasksRun: 2, Steals: 1, StealAttempts: 5, Cancelled: 1}}
 		},
-		func() *JobMetrics { return jobs })
+		jobs)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
@@ -100,10 +99,7 @@ func TestMetricsHandler(t *testing.T) {
 func TestNewMuxEndpoints(t *testing.T) {
 	tr := NewTracer(1, 64)
 	tr.Spawn(0, 0, "x", 1)
-	mux := NewMux(
-		func() *Tracer { return tr },
-		func() any { return map[string]int{"workers": 1} },
-		nil, nil)
+	mux := NewMux(tr, func() any { return map[string]int{"workers": 1} }, nil, nil)
 	for path, wantIn := range map[string]string{
 		"/metrics":          "wats_spawns_total 1",
 		"/debug/wats":       `"workers": 1`,

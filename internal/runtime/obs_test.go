@@ -106,9 +106,6 @@ func TestStatsStealAttempts(t *testing.T) {
 	for _, ws := range rt.Stats() {
 		attempts += ws.StealAttempts
 		steals += ws.Steals
-		if ws.Snatches != 0 {
-			t.Errorf("live runtime cannot snatch, worker %d reports %d", ws.Worker, ws.Snatches)
-		}
 	}
 	if attempts == 0 {
 		t.Fatalf("no steal attempts recorded across workers")
@@ -164,9 +161,6 @@ func TestSnapshot(t *testing.T) {
 				t.Fatalf("drained runtime has non-empty deque: %v", s.DequeDepths)
 			}
 		}
-	}
-	if s.String() == "" {
-		t.Fatal("Snapshot.String() is empty")
 	}
 }
 

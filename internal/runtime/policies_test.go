@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,16 +11,15 @@ import (
 	"wats/internal/sched"
 )
 
-// allKinds is every policy kind of the unified strategy layer; each must
-// run on the live runtime (acceptance criterion of the policy-core
-// unification).
+// allKinds is every policy kind of the unified strategy layer that does
+// not snatch; each must run on the live runtime.
 var allKinds = []sched.Kind{
-	sched.KindShare, sched.KindCilk, sched.KindPFT, sched.KindRTS,
-	sched.KindWATS, sched.KindWATSNP, sched.KindWATSTS, sched.KindWATSMem,
+	sched.KindShare, sched.KindCilk, sched.KindPFT,
+	sched.KindWATS, sched.KindWATSNP, sched.KindWATSMem,
 }
 
-// TestAllKindsRunLive: every sched.Kind is constructible for the live
-// runtime and drains a nested spawn tree completely.
+// TestAllKindsRunLive: every non-snatching sched.Kind is constructible
+// for the live runtime and drains a nested spawn tree completely.
 func TestAllKindsRunLive(t *testing.T) {
 	for _, kind := range allKinds {
 		t.Run(string(kind), func(t *testing.T) {
@@ -43,6 +43,36 @@ func TestAllKindsRunLive(t *testing.T) {
 			}
 			if rt.Registry() == nil || rt.Allocator() == nil {
 				t.Fatal("registry/allocator must be non-nil for every kind")
+			}
+		})
+	}
+}
+
+// TestSnatchingPoliciesRefused: a goroutine cannot be preempted, so New
+// refuses every strategy that snatches — the two built-in kinds and a
+// caller-configured one — with an error naming the policy it would
+// behave as.
+func TestSnatchingPoliciesRefused(t *testing.T) {
+	custom := sched.NewWATSNP()
+	custom.Snatch = true
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		as   string
+	}{
+		{"RTS", Config{Policy: sched.KindRTS}, "Cilk"},
+		{"WATS-TS", Config{Policy: sched.KindWATSTS}, "WATS"},
+		{"custom", Config{Strategy: custom}, "WATS-NP without snatching"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Arch = smallArch()
+			rt, err := New(tc.cfg)
+			if err == nil {
+				rt.Shutdown()
+				t.Fatal("snatching strategy accepted")
+			}
+			if want := "behave as " + tc.as; !strings.HasSuffix(err.Error(), want) {
+				t.Fatalf("error %q does not say %q", err, want)
 			}
 		})
 	}
@@ -205,7 +235,7 @@ func TestHelperShutdownPrompt(t *testing.T) {
 // TestNoHelperForStaticPolicies: policies without a reorganization step
 // must not start a helper goroutine at all.
 func TestNoHelperForStaticPolicies(t *testing.T) {
-	for _, kind := range []sched.Kind{sched.KindCilk, sched.KindPFT, sched.KindRTS, sched.KindShare} {
+	for _, kind := range []sched.Kind{sched.KindCilk, sched.KindPFT, sched.KindShare} {
 		rt, err := New(Config{Arch: smallArch(), Policy: kind, Seed: 33})
 		if err != nil {
 			t.Fatal(err)

@@ -7,8 +7,8 @@
 // logic itself — spawn discipline, task-to-pool allocation, acquisition
 // order — is not implemented here: the runtime consumes the same
 // engine-agnostic sched.Strategy values as the discrete-event simulator,
-// so every policy kind (Cilk, PFT, RTS, WATS, WATS-NP, WATS-TS, WATS-Mem,
-// Share) runs on real goroutines through Config.Policy.
+// so every policy kind that does not snatch (Cilk, PFT, WATS, WATS-NP,
+// WATS-Mem, Share) runs on real goroutines through Config.Policy.
 //
 // Because Go neither exposes core pinning nor per-core DVFS, core-speed
 // asymmetry is emulated: each worker is assigned a relative speed from the
@@ -43,14 +43,13 @@
 // Call Wait before Shutdown for a clean drain.
 //
 // One divergence from the simulator: goroutines cannot be preempted from
-// the outside, so the snatch modes of RTS and WATS-TS are inert here —
-// an idle worker has already drained every reachable queue when snatching
-// would trigger, and the victim's running task cannot be taken. RTS thus
-// behaves like Cilk and WATS-TS like WATS on the live runtime; the paper
-// performed snatches by swapping OS threads between cores, which has no
-// goroutine equivalent.
+// the outside, so a snatch could never fire here — the paper performed
+// snatches by swapping OS threads between cores, which has no goroutine
+// equivalent. New therefore refuses any strategy whose snatch mode is not
+// sched.SnatchNone (sched.CheckLive), naming the policy it would behave
+// as: RTS would run as Cilk, WATS-TS as WATS.
 //
-// The runtime is a usable library: see examples/pipeline and cmd/watsrun.
+// The runtime is a usable library: see examples/pipeline and cmd/watsd.
 package runtime
 
 import (
@@ -83,11 +82,12 @@ type Config struct {
 	// online — the c-group count and speeds stay fixed, only the per-group
 	// core counts move.
 	Arch *amc.Arch
-	// Policy selects the scheduling policy by kind; every sched.Kind is
-	// accepted. Default sched.KindWATS.
+	// Policy selects the scheduling policy by kind; every sched.Kind but
+	// the snatching RTS and WATS-TS is accepted. Default sched.KindWATS.
 	Policy sched.Kind
 	// Strategy, when non-nil, overrides Policy with a caller-constructed
-	// (unbound) strategy — configured WATS variants or custom policies.
+	// (unbound) strategy — configured WATS variants or custom policies —
+	// under the same rule: it must not snatch.
 	Strategy sched.Strategy
 	// HelperPeriod is the cadence of the helper goroutine that re-runs
 	// Algorithm 1 (default 1ms, as in §III-C). The helper is only started
@@ -371,7 +371,6 @@ type worker struct {
 	tasksRun      atomic.Int64
 	steals        atomic.Int64
 	stealAttempts atomic.Int64
-	snatches      atomic.Int64
 	cancelled     atomic.Int64
 	panics        atomic.Int64
 	busy          atomic.Int64
@@ -556,11 +555,6 @@ type WorkerStats struct {
 	// contention a success-only count hides.
 	Steals        int64
 	StealAttempts int64
-	// Snatches counts preemptions of other workers' running tasks. The
-	// live runtime cannot preempt goroutines (see the package comment),
-	// so this stays 0 here; the field keeps live and simulated stats
-	// rows aligned.
-	Snatches int64
 	// Cancelled counts tasks this worker dropped without running because
 	// their job context was already done when acquired (deadline exceeded
 	// or caller cancellation).
@@ -691,6 +685,9 @@ func New(cfg Config) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	if err := sched.CheckLive(strat); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	strat.Bind(cfg.Arch)
 	n := cfg.Arch.NumCores()
@@ -994,8 +991,8 @@ func (rt *Runtime) MaxQueuedTasks() int { return int(rt.maxQueued) }
 // Victims come from the published worker table, so a worker hot-added a
 // microsecond ago is already stealable and a retiring one no longer is
 // (its leftover tasks drain through the inbox). Returns nil when no task
-// is available anywhere. The strategy's snatch mode is inert here: a
-// running goroutine cannot be preempted (see the package comment).
+// is available anywhere; there is no snatch fallback (see the package
+// comment).
 func (rt *Runtime) acquire(w *worker, r *rng.Source) *liveTask {
 	var t0 time.Time
 	if rt.obs != nil {
@@ -1464,7 +1461,6 @@ func (rt *Runtime) statsOf(w *worker, retiring bool) WorkerStats {
 		TasksRun:      w.tasksRun.Load(),
 		Steals:        w.steals.Load(),
 		StealAttempts: w.stealAttempts.Load(),
-		Snatches:      w.snatches.Load(),
 		Cancelled:     w.cancelled.Load(),
 		Panics:        w.panics.Load(),
 		BusyNanos:     busy,

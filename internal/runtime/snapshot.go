@@ -1,22 +1,16 @@
 package runtime
 
-import (
-	"fmt"
-	"strings"
-
-	"wats/internal/task"
-)
+import "wats/internal/task"
 
 // Snapshot is a point-in-time view of the scheduler's observable state:
 // the learned task classes TC(f, n, w), the current class → cluster
 // partition and how often it was rebuilt, the per-c-group preference
 // tables the acquisition walk follows, the live worker shape, deque
-// depths and the per-worker counters. It is what `watsrun -inspect`
-// renders and what the debug server serves at /debug/wats. Depths and
-// counters are racy point-reads while workers run; everything else is a
-// consistent copy. The worker rows come from one RCU table load, so a
-// snapshot taken mid-resize sees either the old or the new worker set,
-// never a half-updated one. Classes are the merged view: taking a
+// depths and the per-worker counters, as the debug server serves it at
+// /debug/wats. Depths and counters are racy point-reads while workers
+// run; everything else is a consistent copy. The worker rows come from
+// one RCU table load, so a snapshot taken mid-resize sees either the old
+// or the new worker set, never a half-updated one. Classes are the merged view: taking a
 // snapshot folds any per-worker shard observations not yet consumed by
 // the helper into the canonical class table (the registry does this
 // internally; no scheduler lock is involved).
@@ -95,46 +89,4 @@ func (rt *Runtime) Snapshot() Snapshot {
 		s.DequeDepths = append(s.DequeDepths, depths)
 	}
 	return s
-}
-
-// String renders the snapshot as the compact text report of
-// `watsrun -inspect`.
-func (s Snapshot) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "policy %s on %s: %d workers (shape %v, %d retired) in %d c-groups, %d reorganizations, %d outstanding, %.1f J\n",
-		s.Policy, s.Arch, s.Workers, s.Shape, s.RetiredWorkers, s.CGroups, s.Reorganizations, s.Outstanding, s.EnergyJoules)
-	if len(s.Classes) > 0 {
-		fmt.Fprintf(&sb, "classes (TC(f,n,w), avg fastest-core ms -> cluster):\n")
-		for _, c := range s.Classes {
-			cl, ok := s.Partition[c.Name]
-			at := "-"
-			if ok {
-				at = fmt.Sprintf("%d", cl)
-			}
-			fmt.Fprintf(&sb, "  %-12s n=%-5d w=%8.3fms -> %s\n", c.Name, c.Count, 1000*c.AvgWork, at)
-		}
-	}
-	fmt.Fprintf(&sb, "preference tables (c-group: cluster walk):\n")
-	for g, order := range s.PreferenceTables {
-		fmt.Fprintf(&sb, "  C%d: %v\n", g+1, order)
-	}
-	fmt.Fprintf(&sb, "deque depths (worker x cluster, inbox %d):\n", s.InboxDepth)
-	for i, depths := range s.DequeDepths {
-		id := i
-		if i < len(s.Stats) {
-			id = s.Stats[i].Worker
-		}
-		fmt.Fprintf(&sb, "  w%-2d %v\n", id, depths)
-	}
-	fmt.Fprintf(&sb, "workers (tasks / steals / attempts / busy):\n")
-	for _, st := range s.Stats {
-		flag := ""
-		if st.Retiring {
-			flag = " (retiring)"
-		}
-		fmt.Fprintf(&sb, "  w%-2d g%d rel %.2f  %6d / %5d / %6d / %.1fms%s\n",
-			st.Worker, st.Group, st.Rel, st.TasksRun, st.Steals, st.StealAttempts,
-			float64(st.BusyNanos)/1e6, flag)
-	}
-	return sb.String()
 }

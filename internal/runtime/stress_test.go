@@ -39,8 +39,7 @@ func TestRuntimeConcurrentStress(t *testing.T) {
 				return
 			default:
 			}
-			snap := rt.Snapshot()
-			_ = snap.String()
+			rt.Snapshot()
 			rt.Registry().Lookup("leaf")
 		}
 	}()

@@ -12,7 +12,7 @@ import "time"
 // two plain atomic stores per task and nothing at all when disabled.
 //
 // The runtime cannot preempt a stalled goroutine (the same limitation
-// that makes snatching inert, see the package comment), so the watchdog
+// that rules out snatching, see the package comment), so the watchdog
 // reports instead of kills: an EvStall event and wats_stalls_total per
 // stalled task, and StalledWorkers() for readiness endpoints — a wedged
 // instance reports itself unready and the load balancer rotates it out,

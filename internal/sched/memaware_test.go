@@ -85,7 +85,7 @@ func TestMemFracTiming(t *testing.T) {
 	arch := amc.MustNew("2c", amc.CGroup{Freq: 2, N: 1}, amc.CGroup{Freq: 1, N: 1})
 	w := &workload.Batch{BenchName: "m", Batches: 1, Noise: -1, Seed: 1,
 		Mix: []workload.ClassSpec{{Name: "m", Count: 2, Work: 0.1, MemFrac: 1, CMPI: 1}}}
-	res, err := sim.New(arch, NewPFT(), sim.Config{Seed: 1, CollectTasks: true}).Run(w)
+	res, err := sim.New(arch, MustNew(KindPFT), sim.Config{Seed: 1, CollectTasks: true}).Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}

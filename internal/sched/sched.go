@@ -66,21 +66,6 @@ func New(kind Kind) (sim.Policy, error) {
 	return newSimPolicy(s), nil
 }
 
-// NewCilk returns the MIT Cilk policy: child-first spawning with
-// traditional random task-stealing.
-func NewCilk() sim.Policy { return MustNew(KindCilk) }
-
-// NewPFT returns the parent-first task-stealing policy.
-func NewPFT() sim.Policy { return MustNew(KindPFT) }
-
-// NewRTS returns the random task-snatching policy: Cilk spawning and
-// stealing, plus random snatching by idle faster cores.
-func NewRTS() sim.Policy { return MustNew(KindRTS) }
-
-// NewShare returns the centralized task-sharing policy (parent-first
-// spawning, FIFO central queue).
-func NewShare() sim.Policy { return MustNew(KindShare) }
-
 // MustNew is New but panics on error.
 func MustNew(kind Kind) sim.Policy {
 	p, err := New(kind)

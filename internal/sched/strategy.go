@@ -46,6 +46,37 @@ func (m SnatchMode) String() string {
 	}
 }
 
+// CheckLive is the live runtime's one restriction on strategies: a
+// running goroutine cannot be preempted, so a snatch could never fire
+// there. The error names what the strategy would behave as instead: RTS
+// as Cilk, WATS-TS as WATS, a configured strategy as itself unsnatched.
+func CheckLive(s Strategy) error {
+	if s.SnatchMode() == SnatchNone {
+		return nil
+	}
+	as := string(s.Kind()) + " without snatching"
+	switch s.Kind() {
+	case KindRTS:
+		as = string(KindCilk)
+	case KindWATSTS:
+		as = string(KindWATS)
+	}
+	return fmt.Errorf("sched: %s snatches running tasks (%s snatching), which the live runtime cannot do: there it would behave as %s",
+		s.Kind(), s.SnatchMode(), as)
+}
+
+// LiveKinds lists the built-in kinds, WATS-Mem included, whose strategies
+// pass CheckLive: the kinds that run differently from one another live.
+func LiveKinds() []Kind {
+	var out []Kind
+	for _, k := range append(append([]Kind{}, Kinds...), KindWATSMem) {
+		if s, err := NewStrategy(k); err == nil && CheckLive(s) == nil {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // Strategy is the engine-agnostic core of a scheduling policy: the three
 // axes the paper varies, decoupled from any execution engine.
 //

@@ -29,7 +29,7 @@ func TestDnCFallback(t *testing.T) {
 		t.Fatalf("TasksDone=%d", res.TasksDone)
 	}
 	// The fallback must track PFT closely (same discipline, flat pools).
-	pftRes, err := sim.New(amc.AMC5, NewPFT(), sim.Config{Seed: 2}).Run(mkDnC(2))
+	pftRes, err := sim.New(amc.AMC5, MustNew(KindPFT), sim.Config{Seed: 2}).Run(mkDnC(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestLearningCurve(t *testing.T) {
 func TestShareBaseline(t *testing.T) {
 	w := workload.GA(5)
 	w.Batches = 8
-	share, err := sim.New(amc.AMC2, NewShare(), sim.Config{Seed: 5}).Run(w)
+	share, err := sim.New(amc.AMC2, MustNew(KindShare), sim.Config{Seed: 5}).Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,51 +11,30 @@ import (
 // Prometheus /metrics (scheduler counters, per-worker rows and — when
 // jobs is non-nil — per-job latency histograms), the JSON scheduler
 // snapshot at /debug/wats, the buffered Chrome trace at
-// /debug/wats/trace, expvar and pprof. The runtime getter may return nil
-// while no run is active, so one long-lived server can follow a sequence
-// of runtimes (cmd/watsrun) or wrap a single daemon-owned one (watsd).
-// This is the one place the runtime's introspection surface is wired to
-// HTTP; both binaries mount it.
-func NewDebugMux(rt func() *runtime.Runtime, jobs func() *obs.JobMetrics) *http.ServeMux {
+// /debug/wats/trace, expvar and pprof. This is the one place the
+// runtime's introspection surface is wired to HTTP; Server.Handler
+// mounts it.
+func NewDebugMux(rt *runtime.Runtime, jobs *obs.JobMetrics) *http.ServeMux {
 	return obs.NewMux(
-		func() *obs.Tracer {
-			if r := rt(); r != nil {
-				return r.Tracer()
-			}
-			return nil
-		},
-		func() any {
-			if r := rt(); r != nil {
-				return r.Snapshot()
-			}
-			return nil
-		},
+		rt.Tracer(),
+		func() any { return rt.Snapshot() },
 		func() []obs.WorkerCounters {
-			if r := rt(); r != nil {
-				rows := ToWorkerCounters(r.Stats())
-				if r.RetiredWorkers() > 0 {
-					// One aggregate row (worker -1) keeps energy and task
-					// totals exact after shrinks retire workers.
-					rows = append(rows, ToWorkerCounters([]runtime.WorkerStats{r.RetiredStats()})...)
-				}
-				return rows
+			stats := rt.Stats()
+			if rt.RetiredWorkers() > 0 {
+				// One aggregate row (worker -1) keeps energy and task
+				// totals exact after shrinks retire workers.
+				stats = append(stats, rt.RetiredStats())
 			}
-			return nil
+			rows := make([]obs.WorkerCounters, len(stats))
+			for i, ws := range stats {
+				rows[i] = obs.WorkerCounters{
+					Worker: ws.Worker, Group: ws.Group, TasksRun: ws.TasksRun,
+					Steals: ws.Steals, StealAttempts: ws.StealAttempts,
+					Cancelled: ws.Cancelled, BusyNanos: ws.BusyNanos,
+					Panics: ws.Panics, EnergyJoules: ws.EnergyJoules, Retiring: ws.Retiring,
+				}
+			}
+			return rows
 		},
 		jobs)
-}
-
-// ToWorkerCounters maps the runtime's per-worker stats onto the
-// engine-agnostic rows the /metrics handler renders.
-func ToWorkerCounters(stats []runtime.WorkerStats) []obs.WorkerCounters {
-	out := make([]obs.WorkerCounters, len(stats))
-	for i, ws := range stats {
-		out[i] = obs.WorkerCounters{
-			Worker: ws.Worker, Group: ws.Group, TasksRun: ws.TasksRun,
-			Steals: ws.Steals, StealAttempts: ws.StealAttempts,
-			Snatches: ws.Snatches, Cancelled: ws.Cancelled, BusyNanos: ws.BusyNanos,
-			Panics: ws.Panics, EnergyJoules: ws.EnergyJoules, Retiring: ws.Retiring,
-		}
-	}
-	return out
 }

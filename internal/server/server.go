@@ -175,7 +175,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // Handler returns the service mux: the /v1 job API plus the full debug
 // mux (/metrics with job histograms, /debug/wats, /debug/pprof/, ...).
 func (s *Server) Handler() *http.ServeMux {
-	dbg := NewDebugMux(func() *runtime.Runtime { return s.rt }, func() *obs.JobMetrics { return s.metrics })
+	dbg := NewDebugMux(s.rt, s.metrics)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/jobs", s.handleJobs)
 	mux.HandleFunc("/v1/jobs:batch", s.handleJobsBatch)

@@ -1,11 +1,11 @@
 // Package twin is the counterfactual engine behind cmd/watstwin: it
 // replays one captured live trace (the decision ledger's NDJSON, see
 // internal/trace) through the discrete-event simulator under every
-// scheduling policy, and reports how each would have handled the exact
-// traffic the live service saw — p99/mean sojourn and energy deltas
-// against the live baseline, plus a twin-fidelity line (simulated vs live
-// p99 under the *actual* policy) that says how far to trust the
-// counterfactuals.
+// scheduling policy the live runtime accepts, and reports how each would
+// have handled the exact traffic the live service saw — p99/mean sojourn
+// and energy deltas against the live baseline, plus a twin-fidelity line
+// (simulated vs live p99 under the *actual* policy) that says how far to
+// trust the counterfactuals.
 package twin
 
 import (
@@ -29,7 +29,7 @@ type Options struct {
 	// reports for the same capture).
 	Seed uint64
 	// Sweep adds WATS helper-period and EWMA parameter variants beyond
-	// the eight policy kinds.
+	// the six live policy kinds.
 	Sweep bool
 }
 
@@ -88,17 +88,16 @@ type Report struct {
 	Rows []Row  `json:"rows"`
 }
 
-// Variants returns the counterfactual set for a capture: all eight
-// policy kinds at the live helper period, plus (with sweep) WATS
-// helper-period and EWMA variants.
+// Variants returns the counterfactual set for a capture: the six kinds the
+// live service could switch to (sched.LiveKinds) at the live helper
+// period, plus (with sweep) WATS helper-period and EWMA variants.
 func Variants(h trace.CaptureHeader, sweep bool) []Variant {
 	hp := float64(h.HelperPeriodNS) / 1e9
 	if hp <= 0 {
 		hp = 1e-3
 	}
-	kinds := append(append([]sched.Kind{}, sched.Kinds...), sched.KindWATSMem)
 	var vs []Variant
-	for _, k := range kinds {
+	for _, k := range sched.LiveKinds() {
 		vs = append(vs, Variant{Label: string(k), Kind: k, HelperPeriod: hp})
 	}
 	if sweep {

@@ -45,11 +45,12 @@ func TestRunRanksAllPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight policy kinds + four swept WATS variants.
-	if len(rep.Rows) != 12 {
-		t.Fatalf("rows: %d, want 12", len(rep.Rows))
+	// Six live policy kinds + four swept WATS variants; the snatching
+	// kinds cannot run live, so they are no counterfactual.
+	if len(rep.Rows) != 10 {
+		t.Fatalf("rows: %d, want 10", len(rep.Rows))
 	}
-	want := append(append([]sched.Kind{}, sched.Kinds...), sched.KindWATSMem)
+	want := []sched.Kind{sched.KindShare, sched.KindCilk, sched.KindPFT, sched.KindWATS, sched.KindWATSNP, sched.KindWATSMem}
 	seen := map[string]bool{}
 	var baselines int
 	for _, r := range rep.Rows {
@@ -70,6 +71,11 @@ func TestRunRanksAllPolicies(t *testing.T) {
 	for _, k := range want {
 		if !seen[string(k)] {
 			t.Fatalf("missing policy %s in report", k)
+		}
+	}
+	for _, k := range []sched.Kind{sched.KindRTS, sched.KindWATSTS} {
+		if seen[string(k)] {
+			t.Fatalf("snatching policy %s in report", k)
 		}
 	}
 	if rep.Best != rep.Rows[0].Policy {

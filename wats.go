@@ -12,8 +12,8 @@
 //     stealing, parent-first stealing, and random task snatching);
 //   - a deterministic discrete-event simulator that stands in for the
 //     paper's DVFS-throttled 16-core Opteron testbed;
-//   - a live goroutine-based runtime implementing the same policies on
-//     real threads with emulated core speeds;
+//   - a live goroutine-based runtime implementing the same policies, but
+//     for the two that snatch, on real threads with emulated core speeds;
 //   - workload models for the paper's nine benchmarks and the harnesses
 //     that regenerate every table and figure of the evaluation.
 //
@@ -70,8 +70,9 @@ type (
 	// discipline, task-to-pool allocation and acquisition order both the
 	// simulator and the live runtime consume.
 	Strategy = sched.Strategy
-	// Runtime is the live goroutine-based scheduler: the same policy
-	// kinds as the simulator, on real threads with emulated core speeds.
+	// Runtime is the live goroutine-based scheduler: the simulator's
+	// policy kinds but RTS and WATS-TS (goroutines cannot be snatched), on
+	// real threads with emulated core speeds.
 	Runtime = liveruntime.Runtime
 	// RuntimeConfig configures a live Runtime (architecture, policy kind
 	// or custom strategy, speed emulation, pool implementation).
@@ -87,7 +88,7 @@ type (
 	// attach one through RuntimeConfig.Obs to turn tracing on.
 	Tracer = obs.Tracer
 	// TraceEvent is one recorded scheduler event (spawn, pop, steal,
-	// snatch, complete, repartition).
+	// complete, repartition; snatch in simulator streams).
 	TraceEvent = obs.Event
 	// TraceStream is one engine run's events for the Chrome exporter.
 	TraceStream = obs.Stream
@@ -141,8 +142,9 @@ func NewPolicy(kind Kind) (Policy, error) { return sched.New(kind) }
 func NewStrategy(kind Kind) (Strategy, error) { return sched.NewStrategy(kind) }
 
 // NewRuntime starts a live goroutine-based scheduler: one worker per
-// core of cfg.Arch, running the policy selected by cfg.Policy (any Kind;
-// defaults to WATS) or a caller-configured cfg.Strategy.
+// core of cfg.Arch, running the policy selected by cfg.Policy (any Kind
+// but the snatching RTS and WATS-TS, which it refuses; defaults to WATS)
+// or a caller-configured cfg.Strategy.
 //
 //	rt, err := wats.NewRuntime(wats.RuntimeConfig{Arch: wats.AMC2, Policy: wats.WATS})
 //	if err != nil { ... }
