@@ -1,9 +1,10 @@
 // Command watsaccept runs the stack's acceptance scenarios: every claim
 // made beyond the simulator — batch/stream admission (serve), the
 // elastic pool (elastic), workload-aware cluster routing and failover
-// (gate), gray-failure defence (chaos) — as one in-process run each on
-// internal/harness, over real loopback HTTP, and the paper's policies on
-// bare live runtimes over real kernels (live). A scenario is one file:
+// (gate), gray-failure defence (chaos), the digital twin's replay of a
+// captured run (twin) — as one in-process run each on internal/harness,
+// over real loopback HTTP, and the paper's policies on bare live runtimes
+// over real kernels (live). A scenario is one file:
 // its parameters are a struct literal (the values behind the committed
 // BENCH_<scenario>.json, deliberately not flags), its header states the
 // hypothesis and the gates. Every run also checks job conservation at
@@ -36,10 +37,11 @@ var scenarios = []struct {
 	{"gate", routing.run},
 	{"chaos", chaos.run},
 	{"live", live.run},
+	{"twin", replay.run},
 }
 
 func main() {
-	name := flag.String("scenario", "all", "serve, elastic, gate, chaos, live or all")
+	name := flag.String("scenario", "all", "serve, elastic, gate, chaos, live, twin or all")
 	check := flag.Bool("check", false, "enforce the scenario's acceptance gates")
 	out := flag.String("out", "", "directory for BENCH_<scenario>.json (empty = print the JSON)")
 	flag.Parse()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wats/internal/harness"
+	"wats/internal/twin"
 )
 
 // Each scenario, from its own parameter struct with the durations
@@ -12,7 +13,7 @@ import (
 // latency ratio is asserted, so a busy runner cannot flake this.
 func TestScenariosHoldInvariants(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every scenario end to end (~10 s)")
+		t.Skip("runs every scenario end to end (~11 s)")
 	}
 	const ms = time.Millisecond
 	run := func(name string, run func(*harness.Report, bool) (any, error)) any {
@@ -75,5 +76,11 @@ func TestScenariosHoldInvariants(t *testing.T) {
 		if ms := lr.Machines[0].MakespanMS[string(k)]; len(ms) != 1 || ms[0] <= 0 {
 			t.Errorf("live %s: makespans %v", k, ms)
 		}
+	}
+
+	tw := replay
+	tw.Dur = 500 * ms
+	if tr := run("twin", tw.run).(*twin.Report); tr.Tasks == 0 || len(tr.Rows) != 10 || tr.Best == "" {
+		t.Errorf("twin: %d tasks replayed, %d rows, best %q", tr.Tasks, len(tr.Rows), tr.Best)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -188,11 +189,25 @@ func main() {
 		os.Exit(1)
 	}
 	logger := newLogger(opts.logFormat)
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
+	ln, err := net.Listen("tcp", opts.listen)
+	if err != nil {
+		logger.Error("listener", "err", err)
 		os.Exit(1)
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	if err := run(ctx, opts, ln, logger); err != nil {
+		logger.Error("exit", "err", err)
+		os.Exit(1)
+	}
+}
 
+// run serves on ln until ctx is done (SIGTERM or SIGINT in main), then
+// drains: stop admitting, finish in-flight jobs, seal a running capture,
+// quiesce the runtime. It returns nil only when the drain left nothing in
+// flight; ln is closed when it returns.
+func run(ctx context.Context, opts *options, ln net.Listener, logger *slog.Logger) error {
+	defer ln.Close()
 	// One injector plans both action sets. The runtime gets it only for
 	// task clauses, so a network-only spec keeps its single nil-check.
 	var injector, taskFaults *fault.Injector
@@ -215,20 +230,21 @@ func main() {
 		StallThreshold:        opts.stallThresh,
 	})
 	if err != nil {
-		fatal("runtime", "err", err)
+		return fmt.Errorf("runtime: %w", err)
 	}
+	defer rt.Shutdown() // idempotent: the drain below shuts it down in order
 	srv, err := server.New(server.Config{
 		Runtime:         rt,
 		MaxInflight:     opts.maxInflight,
 		DefaultDeadline: opts.deadline,
 	})
 	if err != nil {
-		fatal("server", "err", err)
+		return fmt.Errorf("server: %w", err)
 	}
 	if opts.capture != "" {
 		stats, err := srv.StartCapture(trace.CaptureConfig{Path: opts.capture})
 		if err != nil {
-			fatal("capture", "err", err)
+			return fmt.Errorf("capture: %w", err)
 		}
 		logger.Info("capture started", "path", stats.Path)
 	}
@@ -248,7 +264,7 @@ func main() {
 			LatencySLO: opts.autoscaleSLO,
 		})
 		if err != nil {
-			fatal("autoscale", "err", err)
+			return fmt.Errorf("autoscale: %w", err)
 		}
 		// The rolling window, not the cumulative p99: the SLO veto must
 		// lift once a burst's tail ages out, or the pool never shrinks.
@@ -259,31 +275,29 @@ func main() {
 
 	b := server.Build()
 	logger.Info("starting", "version", b.Version, "commit", b.Commit, "go", b.GoVersion)
-	logger.Info("serving", "listen", opts.listen, "arch", opts.arch.String(), "policy", string(opts.kind),
+	logger.Info("serving", "listen", ln.Addr().String(), "arch", opts.arch.String(), "policy", string(opts.kind),
 		"max_inflight", opts.maxInflight, "shed_depth", rt.MaxQueuedTasks())
 
 	// Middleware returns the handler as it is without network clauses.
 	httpSrv := newHTTPServer(opts.listen, fault.Middleware(srv.Handler(), injector))
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
-	case sig := <-sigc:
-		logger.Info("draining", "signal", sig.String(), "inflight", srv.Inflight())
+	case <-ctx.Done():
+		logger.Info("draining", "inflight", srv.Inflight())
 	case err := <-errc:
 		if scaler != nil {
 			scaler.Stop()
 		}
-		rt.Shutdown()
-		fatal("listener", "err", err)
+		return fmt.Errorf("listener: %w", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
+	dctx, cancel := context.WithTimeout(context.Background(), opts.drainTimeout)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		logger.Warn("drain incomplete", "err", err, "inflight", srv.Inflight())
+	drainErr := srv.Drain(dctx)
+	if drainErr != nil {
+		logger.Warn("drain incomplete", "err", drainErr, "inflight", srv.Inflight())
 	} else {
 		logger.Info("drained", "msg", "all in-flight jobs finished")
 	}
@@ -319,5 +333,9 @@ func main() {
 		logger.Info("faults injected", "panics", fc.Panics, "delays", fc.Delays, "cancels", fc.Cancels,
 			"latencies", fc.Latencies, "drips", fc.Drips, "resets", fc.Resets, "blackholes", fc.Blackholes)
 	}
+	if drainErr != nil {
+		return fmt.Errorf("drain: %w", drainErr)
+	}
 	fmt.Println("watsd: bye")
+	return nil
 }

@@ -1,11 +1,22 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
+	"log/slog"
+	"net"
+	"net/http"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"wats/internal/client"
+	"wats/internal/trace"
 )
 
 func parse(t *testing.T, args ...string) (*options, error) {
@@ -110,5 +121,112 @@ func TestHTTPServerIsBounded(t *testing.T) {
 	}
 	if s.ReadTimeout != 0 || s.WriteTimeout != 0 {
 		t.Fatalf("ReadTimeout %v, WriteTimeout %v would cut long jobs short", s.ReadTimeout, s.WriteTimeout)
+	}
+}
+
+// The daemon's lifecycle in process: run serves a loopback listener with
+// task panics and delays injected, an overload burst through a retrying
+// client gets every panic back as a structured 500 and lands each one
+// exactly once on /metrics, and cancelling the context (SIGTERM in main)
+// drains to nothing in flight and seals the capture.
+func TestRunLifecycle(t *testing.T) {
+	capPath := filepath.Join(t.TempDir(), "capture.ndjson")
+	opts, err := parse(t, "-max-inflight", "8", "-fault", "panic=0.05,delay=0.05:2ms",
+		"-stall-threshold", "5s", "-capture", capPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, opts, ln, slog.New(slog.NewTextHandler(io.Discard, nil))) }()
+	base := "http://" + ln.Addr().String()
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	get("/v1/version")
+	get("/v1/healthz")
+
+	// 32 submitters against 8 admission slots: jobs are shed and come back
+	// through the retry path.
+	cl, err := client.New(client.Config{BaseURL: base, MaxRetries: 3,
+		BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, MaxRetryAfter: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	codes := map[int]int{}
+	var wg sync.WaitGroup
+	for w := 0; w < 32; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				res, err := cl.SubmitJob(context.Background(), []byte(`{"workload":"sha1","params":{"size":4096}}`))
+				mu.Lock()
+				switch {
+				case err != nil:
+					codes[-1]++
+				case res.StatusCode == http.StatusInternalServerError:
+					var v struct{ Error string }
+					if json.Unmarshal(res.Body, &v) != nil || v.Error != "panic" {
+						t.Errorf("500 without a panic body: %s", res.Body)
+					}
+					codes[res.StatusCode]++
+				default:
+					codes[res.StatusCode]++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("outcomes by status: %v; client %+v", codes, cl.Stats())
+	if codes[-1] != 0 || codes[http.StatusOK] == 0 || cl.Stats().Retries == 0 {
+		t.Fatalf("want no transport errors, some 200s and some retried sheds")
+	}
+	panicked := codes[http.StatusInternalServerError]
+	if panicked == 0 {
+		t.Fatalf("no injected panic reached the client: %v", codes)
+	}
+	metrics := get("/metrics")
+	for _, series := range []string{"wats_panics_total", `wats_jobs_total{status="panicked"}`} {
+		if want := fmt.Sprintf("\n%s %d\n", series, panicked); !strings.Contains(metrics, want) {
+			t.Errorf("/metrics lacks %q (the client saw %d panicked jobs)", strings.TrimSpace(want), panicked)
+		}
+	}
+	if want := fmt.Sprintf(`wats_jobs_total{status="completed"} %d`, codes[http.StatusOK]); !strings.Contains(metrics, want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run after cancel: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+	c, err := trace.ParseCaptureFile(capPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Footer == nil {
+		t.Fatal("capture has no footer: run returned without sealing it")
 	}
 }

@@ -95,7 +95,6 @@ func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.policy, "policy", gate.PolicyWeighted, "routing policy: weighted, round-robin or least-loaded")
 	fs.StringVar(&o.scorers, "scorers", "class-affinity:3,queue-depth:2,health:1,ejection:1", "weighted-policy scorer weights")
 	fs.DurationVar(&o.poll, "poll-interval", 250*time.Millisecond, "backend stats/readiness poll interval (jittered ±20% per backend)")
-	fs.DurationVar(&o.poll, "poll", 250*time.Millisecond, "alias for -poll-interval")
 	fs.Float64Var(&o.alpha, "alpha", 0.3, "TC-table EWMA decay per observed job, in (0, 1]")
 	fs.IntVar(&o.attempts, "attempts", 0, "max backends tried per job (0 = all of them)")
 	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-attempt proxy timeout")
@@ -137,7 +136,7 @@ func (o *options) validate() error {
 		policy.Weights = w
 	}
 	if o.poll <= 0 {
-		return fmt.Errorf("bad -poll: %v (must be > 0)", o.poll)
+		return fmt.Errorf("bad -poll-interval: %v (must be > 0)", o.poll)
 	}
 	if o.alpha <= 0 || o.alpha > 1 {
 		return fmt.Errorf("bad -alpha: %v (want (0, 1])", o.alpha)

@@ -43,20 +43,13 @@ func TestParseOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestParseOptionsPollIntervalAlias(t *testing.T) {
+func TestParseOptionsPollInterval(t *testing.T) {
 	o, err := parse(t, "-backend", "http://a:8080", "-poll-interval", "75ms")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.gateCfg.PollInterval != 75*time.Millisecond {
 		t.Fatalf("poll interval %v", o.gateCfg.PollInterval)
-	}
-	o, err = parse(t, "-backend", "http://a:8080", "-poll", "125ms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.gateCfg.PollInterval != 125*time.Millisecond {
-		t.Fatalf("poll alias %v", o.gateCfg.PollInterval)
 	}
 }
 
@@ -93,7 +86,7 @@ func TestParseOptionsRejectsBadFlags(t *testing.T) {
 		{"-backend", "http://a", "-policy", "random"},        // unknown policy
 		{"-backend", "http://a", "-scorers", "latency:1"},    // unknown scorer
 		{"-backend", "http://a", "-alpha", "1.5"},            // alpha out of range
-		{"-backend", "http://a", "-poll", "-1s"},             // bad poll
+		{"-backend", "http://a", "-poll-interval", "-1s"},    // bad poll interval
 		{"-backend", "http://a", "-attempts", "-2"},          // bad attempts
 		{"-backend", "http://a", "-log-format", "xml"},       // bad log format
 		{"-backend", "http://a", "-fault", "explode=0.5"},    // unknown fault clause

@@ -1,19 +1,17 @@
-// Command watsload is an open-loop load generator for watsd: arrivals are
-// a Poisson process at a configured rate, fired regardless of how fast
-// the service responds — the arrival process never slows down to match
-// the server, which is exactly the regime where admission control matters
-// (a closed-loop client would self-throttle and hide the collapse).
+// Command watsload is an open-loop load generator for watsd: arrivals
+// are fired at their due times however fast the service responds, the
+// regime where admission control matters (a closed-loop client would
+// self-throttle and hide the collapse). They are harness.Schedule's, the
+// process every watsaccept scenario drives: one Poisson stream per -mix
+// entry at its weight's share of the rate, merged by time — a Poisson
+// process at the full rate with each workload drawn by weight.
 //
-// Each arrival POSTs one synchronous job drawn from a weighted workload
-// mix through the resilient internal/client — per-request timeouts,
-// exponential backoff honoring the server's Retry-After hint, and a
-// circuit breaker — and records its outcome and latency; at the end it
-// prints throughput, shed/expired/panicked rates, the p50/p95/p99 of
-// completed-job latencies (with a separate line for jobs that were shed
-// and then retried to completion), and the client's retry/breaker
-// counters. Exit status is 1 when nothing completed, so CI can use a
-// short burst as a smoke test (see `make serve-demo` and
-// `make chaos-demo`).
+// Each arrival submits one job through the resilient internal/client
+// (per-attempt timeouts, backoff honoring Retry-After, a circuit
+// breaker). At the end it prints throughput, shed/expired/panicked rates,
+// the p50/p95/p99 of completed-job latencies (shed-then-retried
+// completions on a line of their own) and each client's retry/breaker
+// counters. Exit status is 1 when nothing completed, 2 on a usage error.
 //
 // Three submission modes drive the same arrival process (-mode):
 // "unary" POSTs one /v1/jobs request per arrival; "batch" coalesces
@@ -27,7 +25,7 @@
 //	watsload -addr http://localhost:8080 -rate 100 -duration 5s
 //	watsload -addr http://node1:8080 -addr http://node2:8080 -rate 500 -duration 5s
 //	watsload -rate 2000 -duration 10s -mix sha1=6,lzw=3,bzip2=1 -deadline-ms 500
-//	watsload -rate 2000 -duration 5s -chaos -retries 3
+//	watsload -rate 2000 -duration 5s -retries 3
 //	watsload -profile 50:2s,800:4s,50:2s   # stepped rates for autoscale tests
 //	watsload -rate 5000 -duration 5s -mode batch -batch 32
 //	watsload -rate 5000 -duration 5s -mode stream -mix noop
@@ -38,22 +36,25 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"net/http"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"wats/internal/client"
+	"wats/internal/harness"
 	"wats/internal/rng"
 	"wats/internal/wire"
 )
 
+// result is one arrival's outcome. The zero value (status 0) is a
+// transport error, a breaker reject or a stream that died first.
 type result struct {
-	status   int // HTTP status; 0 = transport error or breaker reject
+	status   int // HTTP status, or the stream outcome's equivalent
 	panicjb  bool
 	retried  bool // client-level: this client retried after 429/503
 	rerouted bool // gate-level: watsgate tried more than one backend
@@ -61,385 +62,357 @@ type result struct {
 	latency  time.Duration
 }
 
-func main() {
-	var addrs addrList
-	flag.Var(&addrs, "addr", "watsd base URL; repeat the flag to round-robin arrivals across a cluster (default http://127.0.0.1:8080)")
-	var (
-		rate     = flag.Float64("rate", 100, "mean arrival rate in jobs/sec (Poisson)")
-		duration = flag.Duration("duration", 5*time.Second, "how long to generate arrivals")
-		mix      = flag.String("mix", "sha1=6,md5=2,lzw=3,dmc=2,bzip2=1", "weighted workload mix name=weight,...")
-		deadline = flag.Int64("deadline-ms", 0, "per-job deadline_ms (0 = none)")
-		size     = flag.Int("size", 0, "params.size override for every job (0 = workload default)")
-		seed     = flag.Uint64("seed", 1, "arrival-process and input seed")
-		timeout  = flag.Duration("timeout", 30*time.Second, "HTTP timeout per attempt")
-		retries  = flag.Int("retries", 0, "retry budget per job for shed (429) and unavailable (503) responses")
-		chaos    = flag.Bool("chaos", false, "chaos mode: expect injected faults; defaults -retries to 3 and tightens backoff")
-		profile  = flag.String("profile", "", `stepped-rate profile "rate:dur,rate:dur,..." overriding -rate/-duration (e.g. "50:2s,800:4s,50:2s")`)
-		logFmt   = flag.String("log-format", "text", "structured log format for status lines: text or json (results stay on stdout)")
-		mode     = flag.String("mode", "unary", "submission mode: unary, batch, or stream")
-		batchN   = flag.Int("batch", 16, "batch mode: jobs coalesced per /v1/jobs:batch request")
-	)
-	flag.Parse()
+// options is the parsed and validated command line.
+type options struct {
+	addrs    addrList
+	mix      string
+	mode     string
+	batch    int
+	deadline int64
+	size     int
+	seed     uint64
+	client   client.Config
+	streams  []harness.Stream
+	phases   []harness.Phase
+}
 
-	// Status and error lines go through slog on stderr so a pipeline can
-	// parse them next to watsd's logs; the end-of-run results report stays
-	// plain text on stdout.
-	var lh slog.Handler
-	if *logFmt == "json" {
-		lh = slog.NewJSONHandler(os.Stderr, nil)
-	} else if *logFmt == "text" {
-		lh = slog.NewTextHandler(os.Stderr, nil)
-	} else {
-		fmt.Fprintf(os.Stderr, "watsload: bad -log-format %q (want text or json)\n", *logFmt)
-		os.Exit(2)
-	}
-	logger := slog.New(lh)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	names, weights, err := parseMix(*mix)
+// run is the whole command: the report goes to stdout, status and errors
+// to stderr, and the return value is the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parseOptions(args, stderr)
 	if err != nil {
-		logger.Error("bad -mix", "err", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "watsload: %v\n", err)
+		return 2
 	}
-	phases := []phase{{rate: *rate, dur: *duration}}
-	if *profile != "" {
-		phases, err = parseProfile(*profile)
-		if err != nil {
-			logger.Error("bad -profile", "err", err)
-			os.Exit(2)
-		}
+	s, err := o.drive(stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "watsload: %v\n", err)
+		return 2
 	}
-	var total time.Duration
-	for _, ph := range phases {
-		total += ph.dur
+	s.print(stdout)
+	if s.completed == 0 {
+		fmt.Fprintln(stderr, "watsload: zero completed jobs")
+		return 1
 	}
-	if len(addrs) == 0 {
-		addrs = addrList{"http://127.0.0.1:8080"}
+	return 0
+}
+
+func parseOptions(args []string, stderr io.Writer) (*options, error) {
+	fs := flag.NewFlagSet("watsload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := &options{}
+	var (
+		rate     float64
+		duration time.Duration
+		profile  string
+	)
+	fs.Var(&o.addrs, "addr", "watsd base URL; repeat the flag to round-robin arrivals across a cluster (default http://127.0.0.1:8080)")
+	fs.Float64Var(&rate, "rate", 100, "mean arrival rate in jobs/sec (Poisson)")
+	fs.DurationVar(&duration, "duration", 5*time.Second, "how long to generate arrivals")
+	fs.StringVar(&o.mix, "mix", "sha1=6,md5=2,lzw=3,dmc=2,bzip2=1", "weighted workload mix name=weight,...")
+	fs.Int64Var(&o.deadline, "deadline-ms", 0, "per-job deadline_ms (0 = none)")
+	fs.IntVar(&o.size, "size", 0, "params.size override for every job (0 = workload default)")
+	fs.Uint64Var(&o.seed, "seed", 1, "arrival-process and input seed")
+	fs.DurationVar(&o.client.RequestTimeout, "timeout", 30*time.Second, "HTTP timeout per attempt")
+	fs.IntVar(&o.client.MaxRetries, "retries", 0, "retry budget per job for shed (429) and unavailable (503) responses")
+	fs.StringVar(&profile, "profile", "", `stepped-rate profile "rate:dur,rate:dur,..." overriding -rate/-duration (e.g. "50:2s,800:4s,50:2s")`)
+	fs.StringVar(&o.mode, "mode", "unary", "submission mode: unary, batch, or stream")
+	fs.IntVar(&o.batch, "batch", 16, "batch mode: jobs coalesced per /v1/jobs:batch request")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	ccfg := client.Config{
-		RequestTimeout: *timeout,
-		MaxRetries:     *retries,
-		Seed:           *seed,
+	if o.mode != "unary" && o.mode != "batch" && o.mode != "stream" {
+		return nil, fmt.Errorf("bad -mode %q (want unary, batch, or stream)", o.mode)
 	}
-	if *chaos {
-		if ccfg.MaxRetries == 0 {
-			ccfg.MaxRetries = 3
-		}
-		// A short chaos burst needs the retry schedule to resolve inside
-		// the run, not after it.
-		ccfg.BaseBackoff = 25 * time.Millisecond
-		ccfg.MaxBackoff = 500 * time.Millisecond
-		ccfg.Breaker.Cooldown = 250 * time.Millisecond
+	o.batch = max(o.batch, 1)
+	if len(o.addrs) == 0 {
+		o.addrs = addrList{"http://127.0.0.1:8080"}
 	}
+	o.client.Seed = o.seed
+	var weights []float64
+	var err error
+	if o.streams, weights, err = parseMix(o.mix); err != nil {
+		return nil, err
+	}
+	if profile != "" {
+		o.phases, err = parseProfile(profile, weights)
+		return o, err
+	}
+	if rate <= 0 || duration <= 0 {
+		return nil, fmt.Errorf("bad -rate %g / -duration %v (both must be > 0)", rate, duration)
+	}
+	o.phases = []harness.Phase{{Dur: duration, Rates: harness.Split(rate, weights)}}
+	return o, nil
+}
+
+// drive sends every scheduled arrival at its due time and tallies the
+// outcomes once the last one is back.
+func (o *options) drive(stderr io.Writer) (*summary, error) {
 	// One resilient client per target, each with its own circuit breaker
 	// (node health is per-node state); arrivals round-robin across them.
-	cls := make([]*client.Client, len(addrs))
-	for i, a := range addrs {
-		ccfg.BaseURL = a
-		cl, err := client.New(ccfg)
-		if err != nil {
-			logger.Error("client", "addr", a, "err", err)
-			os.Exit(2)
-		}
-		cls[i] = cl
+	cls := make([]*client.Client, len(o.addrs))
+	for i, a := range o.addrs {
+		cfg := o.client
+		cfg.BaseURL = a
+		cls[i], _ = client.New(cfg) // fails only without a BaseURL
 	}
-	var rr int
-	nextClient := func() *client.Client {
-		cl := cls[rr%len(cls)]
-		rr++
-		return cl
-	}
+	arrivals := harness.Schedule(o.seed, o.streams, o.phases, 0)
+	fmt.Fprintf(stderr, "watsload: %d open-loop arrivals to %s, mode %s, mix %s, deadline_ms %d, retries %d\n",
+		len(arrivals), o.addrs.String(), o.mode, o.mix, o.deadline, o.client.MaxRetries)
 
-	if *profile != "" {
-		logger.Info("open-loop load", "addr", addrs.String(), "mode", *mode, "total", total, "profile", *profile,
-			"mix", *mix, "deadline_ms", *deadline, "retries", ccfg.MaxRetries)
-	} else {
-		logger.Info("open-loop load", "addr", addrs.String(), "mode", *mode, "total", total, "rate", *rate,
-			"mix", *mix, "deadline_ms", *deadline, "retries", ccfg.MaxRetries)
-	}
-	if *chaos {
-		logger.Info("chaos mode", "msg", "counting panicked jobs separately; breaker armed")
-	}
-
-	r := rng.New(*seed)
-	results := make(chan result, 1<<16)
+	// Arrival k owns out[k] and sent[k]. The main loop stamps sent[k]
+	// before dispatching k; whoever finishes k writes out[k] before
+	// wg.Done, and nothing reads out before wg.Wait.
+	out := make([]result, len(arrivals))
+	sent := make([]time.Time, len(arrivals))
 	var wg sync.WaitGroup
+	r := rng.New(o.seed)
+	// dispatch submits arrival k; flush pushes anything still coalesced
+	// (batch remainder, buffered stream frames) after the last arrival;
+	// closeAll tears down mode state after the last result.
+	var dispatch func(k int, wl string)
+	flush, closeAll := func() {}, func() {}
 
-	// dispatch submits one arrival; flushFn pushes anything still
-	// coalesced (batch remainder, buffered stream frames) after the
-	// arrival loop; closeFn tears down mode state after the last result.
-	var dispatch func(wl string)
-	flushFn, closeFn := func() {}, func() {}
-
-	switch *mode {
+	switch o.mode {
 	case "unary":
-		dispatch = func(wl string) {
+		dispatch = func(k int, wl string) {
 			body, _ := json.Marshal(map[string]any{
 				"workload":    wl,
-				"deadline_ms": *deadline,
-				"params":      map[string]any{"seed": r.Uint64()%1000 + 1, "size": *size},
+				"deadline_ms": o.deadline,
+				"params":      map[string]any{"seed": r.Uint64()%1000 + 1, "size": o.size},
 			})
-			cl := nextClient()
+			cl := cls[k%len(cls)]
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				t0 := time.Now()
-				res, err := cl.SubmitJob(context.Background(), body)
-				if err != nil {
-					results <- result{status: 0, latency: time.Since(t0)}
-					return
-				}
-				results <- result{
-					status:   res.StatusCode,
-					panicjb:  res.StatusCode == http.StatusInternalServerError && isPanicBody(res.Body),
-					retried:  res.Retried,
-					rerouted: res.GateAttempts > 1,
-					hedged:   res.GateHedged,
-					latency:  time.Since(t0),
+				if res, err := cl.SubmitJob(context.Background(), body); err == nil {
+					out[k] = result{
+						status:   res.StatusCode,
+						panicjb:  res.StatusCode == http.StatusInternalServerError && isPanicBody(res.Body),
+						retried:  res.Retried,
+						rerouted: res.GateAttempts > 1,
+						hedged:   res.GateHedged,
+						latency:  time.Since(sent[k]),
+					}
 				}
 			}()
 		}
 	case "batch":
-		if *batchN < 1 {
-			*batchN = 1
-		}
-		var pend []client.BatchJob
-		var pendT0 []time.Time
-		flush := func() {
-			if len(pend) == 0 {
+		var jobs []client.BatchJob
+		var ks []int
+		var batches int
+		flush = func() {
+			if len(jobs) == 0 {
 				return
 			}
-			jobs, t0s := pend, pendT0
-			pend, pendT0 = nil, nil
 			// Whole batches rotate across targets: one admission decision
 			// per batch per node, same as a single-target run.
-			cl := nextClient()
+			cl, batch, idx := cls[batches%len(cls)], jobs, ks
+			jobs, ks = nil, nil
+			batches++
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rs, err := cl.SubmitBatch(context.Background(), jobs)
+				rs, err := cl.SubmitBatch(context.Background(), batch)
 				if err != nil {
-					for range jobs {
-						results <- result{status: 0}
-					}
 					return
 				}
-				for i := range rs {
-					results <- result{
+				for i, k := range idx {
+					out[k] = result{
 						status:  rs[i].Code,
 						panicjb: rs[i].Code == http.StatusInternalServerError && rs[i].Error == "panic",
 						retried: rs[i].Attempts > 1,
-						latency: time.Since(t0s[i]),
+						latency: time.Since(sent[k]),
 					}
 				}
 			}()
 		}
-		dispatch = func(wl string) {
-			params, _ := json.Marshal(map[string]any{"seed": r.Uint64()%1000 + 1, "size": *size})
-			pend = append(pend, client.BatchJob{Workload: wl, Params: params, DeadlineMS: *deadline})
-			pendT0 = append(pendT0, time.Now())
-			if len(pend) >= *batchN {
+		dispatch = func(k int, wl string) {
+			params, _ := json.Marshal(map[string]any{"seed": r.Uint64()%1000 + 1, "size": o.size})
+			jobs = append(jobs, client.BatchJob{Workload: wl, Params: params, DeadlineMS: o.deadline})
+			ks = append(ks, k)
+			if len(jobs) >= o.batch {
 				flush()
 			}
 		}
-		flushFn = flush
 	case "stream":
 		// One persistent wats-stream connection per target; arrivals
-		// round-robin across lanes by sequence number. Each lane tracks
-		// its own in-flight set so one connection dying only fails the
-		// jobs that were actually pipelined on it.
+		// round-robin across lanes. Each lane tracks its own in-flight
+		// set, keyed by request id = arrival index + 1, so one connection
+		// dying only fails the jobs that were actually pipelined on it.
 		type lane struct {
 			sc       *client.StreamClient
 			mu       sync.Mutex
-			inflight map[uint64]time.Time
+			inflight map[uint64]bool
+			dead     bool // the connection closed: nothing more is pipelined
 			done     chan struct{}
 		}
 		lanes := make([]*lane, len(cls))
+		closeAll = func() {
+			for _, ln := range lanes {
+				if ln != nil {
+					_ = ln.sc.Close()
+					<-ln.done
+				}
+			}
+		}
 		for i, cl := range cls {
 			sc, err := cl.DialStream(context.Background())
 			if err != nil {
-				logger.Error("stream dial", "addr", addrs[i], "err", err)
-				os.Exit(2)
+				closeAll()
+				return nil, fmt.Errorf("stream dial %s: %w", o.addrs[i], err)
 			}
-			ln := &lane{sc: sc, inflight: map[uint64]time.Time{}, done: make(chan struct{})}
+			ln := &lane{sc: sc, inflight: map[uint64]bool{}, done: make(chan struct{})}
 			lanes[i] = ln
 			go func() {
 				defer close(ln.done)
 				for res := range ln.sc.Results() {
 					ln.mu.Lock()
-					t0, ok := ln.inflight[res.ID]
+					ok := ln.inflight[res.ID]
 					delete(ln.inflight, res.ID)
 					ln.mu.Unlock()
-					if !ok {
-						continue
+					if ok {
+						k := res.ID - 1
+						out[k] = result{status: streamStatus[res.Outcome], panicjb: res.Outcome == wire.OutcomePanicked, latency: time.Since(sent[k])}
+						wg.Done()
 					}
-					results <- result{
-						status:  streamStatus(res.Outcome),
-						panicjb: res.Outcome == wire.OutcomePanicked,
-						latency: time.Since(t0),
-					}
-					wg.Done()
 				}
-				// Connection gone: whatever never got a result is a failure.
+				// Connection gone: whatever never got a result stays failed.
 				ln.mu.Lock()
-				for id := range ln.inflight {
-					delete(ln.inflight, id)
-					results <- result{status: 0}
+				ln.dead = true
+				for range ln.inflight {
 					wg.Done()
 				}
+				clear(ln.inflight)
 				ln.mu.Unlock()
 			}()
 		}
-		var seq uint64
-		dispatch = func(wl string) {
-			seq++
-			ln := lanes[seq%uint64(len(lanes))]
+		dispatch = func(k int, wl string) {
+			ln := lanes[k%len(lanes)]
 			wid, ok := ln.sc.WorkloadID(wl)
 			if !ok {
-				results <- result{status: http.StatusBadRequest}
+				out[k] = result{status: http.StatusBadRequest}
 				return
 			}
-			sub := wire.Submit{
-				ID: seq, Workload: wid, DeadlineMS: *deadline,
-				Size: int64(*size), Seed: r.Uint64()%1000 + 1,
-			}
+			id := uint64(k) + 1
 			ln.mu.Lock()
-			ln.inflight[seq] = time.Now()
-			ln.mu.Unlock()
+			if ln.dead {
+				ln.mu.Unlock()
+				return
+			}
+			ln.inflight[id] = true
 			wg.Add(1)
-			_ = ln.sc.Submit(&sub)
+			ln.mu.Unlock()
+			_ = ln.sc.Submit(&wire.Submit{ID: id, Workload: wid, DeadlineMS: o.deadline, Size: int64(o.size), Seed: r.Uint64()%1000 + 1})
 			_ = ln.sc.Flush()
 		}
-		flushFn = func() {
+		flush = func() {
 			for _, ln := range lanes {
 				_ = ln.sc.Flush()
 			}
 		}
-		closeFn = func() {
-			for _, ln := range lanes {
-				_ = ln.sc.Close()
-				<-ln.done
-			}
-		}
-	default:
-		logger.Error("bad -mode (want unary, batch, or stream)", "mode", *mode)
-		os.Exit(2)
 	}
 
-	sent := 0
 	start := time.Now()
-	next := start
-	var phaseEnd time.Duration
-	for _, ph := range phases {
-		phaseEnd += ph.dur
-		for {
-			// Poisson process: exponential inter-arrival times at mean
-			// 1/rate for the current phase.
-			next = next.Add(time.Duration(r.ExpFloat64() / ph.rate * float64(time.Second)))
-			if next.Sub(start) > phaseEnd {
-				break
-			}
-			time.Sleep(time.Until(next))
-			sent++
-			dispatch(names[pickWeighted(r, weights)])
-		}
-		// Restart the arrival clock at the phase boundary so the next
-		// phase's rate applies from its own start, not from the previous
-		// phase's overshooting last arrival.
-		next = start.Add(phaseEnd)
+	for k, a := range arrivals {
+		time.Sleep(time.Until(start.Add(a.At)))
+		sent[k] = time.Now()
+		dispatch(k, a.Class)
 	}
-	flushFn()
+	flush()
 	elapsed := time.Since(start)
 	wg.Wait()
-	closeFn()
-	close(results)
+	closeAll()
+	return tally(out, elapsed, cls), nil
+}
 
-	var completed, shed, expired, panicked, failed int
-	var gateRerouted, gateHedged int
-	var lat, retriedLat []time.Duration
-	for res := range results {
+// summary is the end-of-run report: every arrival lands in exactly one
+// of completed, shed, expired, panicked and failed.
+type summary struct {
+	sent, completed, shed, expired, panicked, failed int
+	rerouted, hedged                                 int
+	elapsed                                          time.Duration
+	lat, retriedLat                                  []time.Duration
+	clients                                          []client.Stats // one per -addr
+}
+
+func tally(out []result, elapsed time.Duration, cls []*client.Client) *summary {
+	s := &summary{sent: len(out), elapsed: elapsed}
+	for _, res := range out {
 		if res.rerouted {
-			gateRerouted++
+			s.rerouted++
 		}
 		if res.hedged {
-			gateHedged++
+			s.hedged++
 		}
 		switch {
 		case res.status == http.StatusOK:
-			completed++
-			lat = append(lat, res.latency)
+			s.completed++
+			s.lat = append(s.lat, res.latency)
 			if res.retried {
-				retriedLat = append(retriedLat, res.latency)
+				s.retriedLat = append(s.retriedLat, res.latency)
 			}
 		case res.status == http.StatusTooManyRequests:
-			shed++
+			s.shed++
 		case res.status == http.StatusGatewayTimeout:
-			expired++
+			s.expired++
 		case res.panicjb:
-			panicked++
+			s.panicked++
 		default:
-			failed++
+			s.failed++
 		}
 	}
-
-	fmt.Printf("\nsent %d in %v (offered %.0f/s)\n", sent, elapsed.Round(time.Millisecond), float64(sent)/elapsed.Seconds())
-	fmt.Printf("  completed %6d  (%.0f/s goodput)\n", completed, float64(completed)/elapsed.Seconds())
-	fmt.Printf("  shed 429  %6d  (%.1f%%)\n", shed, pct(shed, sent))
-	fmt.Printf("  expired   %6d  (%.1f%%)\n", expired, pct(expired, sent))
-	fmt.Printf("  panicked  %6d  (%.1f%%)\n", panicked, pct(panicked, sent))
-	fmt.Printf("  failed    %6d\n", failed)
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		fmt.Printf("  latency   p50 %v  p95 %v  p99 %v  max %v\n",
-			quantile(lat, 0.50), quantile(lat, 0.95), quantile(lat, 0.99), lat[len(lat)-1])
-	}
-	if len(retriedLat) > 0 {
-		sort.Slice(retriedLat, func(i, j int) bool { return retriedLat[i] < retriedLat[j] })
-		fmt.Printf("  retried   p50 %v  p95 %v  p99 %v  (%d shed-then-retried completions)\n",
-			quantile(retriedLat, 0.50), quantile(retriedLat, 0.95), quantile(retriedLat, 0.99), len(retriedLat))
-	}
-	var st client.Stats
+	slices.Sort(s.lat)
+	slices.Sort(s.retriedLat)
 	for _, cl := range cls {
-		s := cl.Stats()
-		st.Attempts += s.Attempts
-		st.Requests += s.Requests
-		st.Retries += s.Retries
-		st.RetryAfterHonored += s.RetryAfterHonored
-		st.BreakerOpens += s.BreakerOpens
-		st.BreakerRejects += s.BreakerRejects
+		s.clients = append(s.clients, cl.Stats())
 	}
-	fmt.Printf("  client    %d attempts / %d requests, %d retries, %d retry-after honored, %d breaker opens, %d breaker rejects\n",
-		st.Attempts, st.Requests, st.Retries, st.RetryAfterHonored, st.BreakerOpens, st.BreakerRejects)
+	return s
+}
+
+func (s *summary) print(w io.Writer) {
+	sec := s.elapsed.Seconds()
+	fmt.Fprintf(w, "\nsent %d in %v (offered %.0f/s)\n", s.sent, s.elapsed.Round(time.Millisecond), float64(s.sent)/sec)
+	fmt.Fprintf(w, "  completed %6d  (%.0f/s goodput)\n", s.completed, float64(s.completed)/sec)
+	fmt.Fprintf(w, "  shed 429  %6d  (%.1f%%)\n", s.shed, pct(s.shed, s.sent))
+	fmt.Fprintf(w, "  expired   %6d  (%.1f%%)\n", s.expired, pct(s.expired, s.sent))
+	fmt.Fprintf(w, "  panicked  %6d  (%.1f%%)\n", s.panicked, pct(s.panicked, s.sent))
+	fmt.Fprintf(w, "  failed    %6d\n", s.failed)
+	q := harness.QuantileMs
+	if len(s.lat) > 0 {
+		fmt.Fprintf(w, "  latency   p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",
+			q(s.lat, 0.50), q(s.lat, 0.95), q(s.lat, 0.99), q(s.lat, 1))
+	}
+	if r := s.retriedLat; len(r) > 0 {
+		fmt.Fprintf(w, "  retried   p50 %.3fms  p95 %.3fms  p99 %.3fms  (%d shed-then-retried completions)\n",
+			q(r, 0.50), q(r, 0.95), q(r, 0.99), len(r))
+	}
+	for _, st := range s.clients {
+		fmt.Fprintf(w, "  client    %d attempts / %d requests, %d retries, %d retry-after honored, %d breaker opens, %d breaker rejects\n",
+			st.Attempts, st.Requests, st.Retries, st.RetryAfterHonored, st.BreakerOpens, st.BreakerRejects)
+	}
 	// Gate-side recovery is invisible to the client's own retry counters:
 	// watsgate reports it per response via X-Watsgate-* headers, so a run
 	// against a gate separates "the gate saved this job" from "this
 	// client retried it".
-	if gateRerouted > 0 || gateHedged > 0 {
-		fmt.Printf("  gate      %d re-routed across backends, %d answered by a hedge (recovered at the gate, not by client retries)\n",
-			gateRerouted, gateHedged)
-	}
-	if completed == 0 {
-		logger.Error("zero completed jobs")
-		os.Exit(1)
+	if s.rerouted > 0 || s.hedged > 0 {
+		fmt.Fprintf(w, "  gate      %d re-routed across backends, %d answered by a hedge (recovered at the gate, not by client retries)\n",
+			s.rerouted, s.hedged)
 	}
 }
 
 // streamStatus maps a wire outcome to its HTTP-equivalent status so the
-// stream mode shares the unary accounting switch.
-func streamStatus(outcome byte) int {
-	switch outcome {
-	case wire.OutcomeOK:
-		return http.StatusOK
-	case wire.OutcomeExpired:
-		return http.StatusGatewayTimeout
-	case wire.OutcomeShed:
-		return http.StatusTooManyRequests
-	case wire.OutcomeDraining:
-		return http.StatusServiceUnavailable
-	case wire.OutcomeBadReq:
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
+// stream mode shares the unary accounting switch. A failed or unknown
+// outcome reads 0, which counts as failed.
+var streamStatus = [256]int{
+	wire.OutcomeOK:       http.StatusOK,
+	wire.OutcomeExpired:  http.StatusGatewayTimeout,
+	wire.OutcomePanicked: http.StatusInternalServerError,
+	wire.OutcomeShed:     http.StatusTooManyRequests,
+	wire.OutcomeDraining: http.StatusServiceUnavailable,
+	wire.OutcomeBadReq:   http.StatusBadRequest,
 }
 
 // isPanicBody reports whether a 500 body is the structured panic outcome
@@ -458,11 +431,6 @@ func pct(n, total int) float64 {
 	return 100 * float64(n) / float64(total)
 }
 
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i].Round(10 * time.Microsecond)
-}
-
 // addrList collects repeated -addr flags.
 type addrList []string
 
@@ -477,16 +445,11 @@ func (a *addrList) Set(v string) error {
 	return nil
 }
 
-// phase is one step of an arrival-rate profile.
-type phase struct {
-	rate float64 // jobs/sec
-	dur  time.Duration
-}
-
-// parseProfile parses the -profile syntax "rate:dur,rate:dur,...",
-// e.g. "50:2s,800:4s,50:2s": 2 s at 50 jobs/s, 4 s at 800, 2 s at 50.
-func parseProfile(s string) ([]phase, error) {
-	var phases []phase
+// parseProfile parses the -profile syntax "rate:dur,rate:dur,...", e.g.
+// "50:2s,800:4s,50:2s": 2 s at 50 jobs/s, 4 s at 800, 2 s at 50, each
+// step's rate split across the mix by weight.
+func parseProfile(s string, weights []float64) ([]harness.Phase, error) {
+	var phases []harness.Phase
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -504,7 +467,7 @@ func parseProfile(s string) ([]phase, error) {
 		if err != nil || dur <= 0 {
 			return nil, fmt.Errorf("bad duration in -profile step %q", part)
 		}
-		phases = append(phases, phase{rate: rate, dur: dur})
+		phases = append(phases, harness.Phase{Dur: dur, Rates: harness.Split(rate, weights)})
 	}
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("empty -profile")
@@ -512,8 +475,9 @@ func parseProfile(s string) ([]phase, error) {
 	return phases, nil
 }
 
-// parseMix parses "sha1=6,lzw=3,bzip2=1" into parallel name/weight lists.
-func parseMix(s string) (names []string, weights []float64, err error) {
+// parseMix parses "sha1=6,lzw=3,bzip2=1" into one stream per workload
+// and the weights beside them.
+func parseMix(s string) (streams []harness.Stream, weights []float64, err error) {
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -524,29 +488,14 @@ func parseMix(s string) (names []string, weights []float64, err error) {
 		if found {
 			w, err = strconv.ParseFloat(wstr, 64)
 			if err != nil || w <= 0 {
-				return nil, nil, fmt.Errorf("bad weight in %q", part)
+				return nil, nil, fmt.Errorf("bad weight in -mix entry %q", part)
 			}
 		}
-		names = append(names, name)
+		streams = append(streams, harness.Stream{Class: name})
 		weights = append(weights, w)
 	}
-	if len(names) == 0 {
+	if len(streams) == 0 {
 		return nil, nil, fmt.Errorf("empty -mix")
 	}
-	return names, weights, nil
-}
-
-func pickWeighted(r *rng.Source, weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x <= 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
+	return streams, weights, nil
 }

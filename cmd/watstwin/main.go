@@ -5,11 +5,12 @@
 // deterministic JSON + markdown report ranking the counterfactuals by
 // p99/mean/energy against the live baseline — including a fidelity line
 // that validates the twin against the live run before you trust it.
+// `watsaccept -scenario twin` gates that fidelity on a fresh capture.
 //
 // Usage:
 //
 //	watstwin -trace out/capture.ndjson
-//	watstwin -trace out/capture.ndjson -out out -seed 1 -max-fidelity-gap 15
+//	watstwin -trace out/capture.ndjson -out out -seed 1
 package main
 
 import (
@@ -28,8 +29,6 @@ func main() {
 		outDir    = flag.String("out", "out", "directory for twin-report.json and twin-report.md")
 		seed      = flag.Uint64("seed", 1, "simulator seed (one fixed seed = byte-identical reports)")
 		sweep     = flag.Bool("sweep", true, "also sweep WATS helper-period and EWMA parameters")
-		maxGap    = flag.Float64("max-fidelity-gap", 0, "fail (exit 1) if the twin-fidelity p99 gap exceeds this percent (0 = report only)")
-		quiet     = flag.Bool("quiet", false, "suppress the markdown report on stdout")
 	)
 	flag.Parse()
 	if *tracePath == "" {
@@ -37,45 +36,40 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	c, err := trace.ParseCaptureFile(*tracePath)
-	if err != nil {
+	if err := run(*tracePath, *outDir, twin.Options{Seed: *seed, Sweep: *sweep}); err != nil {
 		fmt.Fprintf(os.Stderr, "watstwin: %v\n", err)
 		os.Exit(1)
 	}
-	rep, err := twin.Run(filepath.Base(*tracePath), c, twin.Options{Seed: *seed, Sweep: *sweep})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "watstwin: %v\n", err)
-		os.Exit(1)
-	}
+}
 
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fmt.Fprintf(os.Stderr, "watstwin: %v\n", err)
-		os.Exit(1)
+// run replays the capture and writes the report as JSON and markdown
+// under outDir, printing the markdown.
+func run(tracePath, outDir string, opts twin.Options) error {
+	c, err := trace.ParseCaptureFile(tracePath)
+	if err != nil {
+		return err
+	}
+	rep, err := twin.Run(filepath.Base(tracePath), c, opts)
+	if err != nil {
+		return err
 	}
 	js, err := rep.JSON()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "watstwin: %v\n", err)
-		os.Exit(1)
+		return err
+	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
 	}
 	md := rep.Markdown()
-	jsonPath := filepath.Join(*outDir, "twin-report.json")
-	mdPath := filepath.Join(*outDir, "twin-report.md")
+	jsonPath := filepath.Join(outDir, "twin-report.json")
+	mdPath := filepath.Join(outDir, "twin-report.md")
 	if err := os.WriteFile(jsonPath, js, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "watstwin: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if err := os.WriteFile(mdPath, []byte(md), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "watstwin: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	if !*quiet {
-		fmt.Print(md)
-		fmt.Printf("\nwrote %s and %s\n", jsonPath, mdPath)
-	}
-	if *maxGap > 0 && rep.FidelityPct > *maxGap {
-		fmt.Fprintf(os.Stderr, "watstwin: twin fidelity gap %.1f%% exceeds -max-fidelity-gap %.1f%%: counterfactuals not trustworthy\n",
-			rep.FidelityPct, *maxGap)
-		os.Exit(1)
-	}
+	fmt.Print(md)
+	fmt.Printf("\nwrote %s and %s\n", jsonPath, mdPath)
+	return nil
 }

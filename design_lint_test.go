@@ -70,9 +70,19 @@ func TestDesignNamesExistingTests(t *testing.T) {
 // TestDocsNameExistingCommands fails when a document a reader follows to
 // run something — README.md, DESIGN.md, EXPERIMENTS.md, the gnuplot
 // scripts' headers, the repository's skill notes (.*/skills/*/SKILL.md) —
-// names a cmd/<x> or examples/<x> that is not a directory of the module.
-// A brace list (cmd/{a,b}) names each member.
+// names a cmd/<x> or examples/<x> that is not a directory of the module,
+// or a `make <target>` (in backquotes or opening a code line) that the
+// Makefile does not define. A brace list (cmd/{a,b}) names each member.
 func TestDocsNameExistingCommands(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][\w-]*):`).FindAllStringSubmatch(string(mk), -1) {
+		targets[m[1]] = true
+	}
+	makeRe := regexp.MustCompile("(?m)(?:`|^[ \t]*)make (?:-s )?([a-z][\\w-]*)")
 	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 	for _, pat := range []string{"plots/*.plt", ".*/skills/*/SKILL.md"} {
 		found, err := filepath.Glob(pat)
@@ -82,7 +92,7 @@ func TestDocsNameExistingCommands(t *testing.T) {
 		docs = append(docs, found...)
 	}
 	refRe := regexp.MustCompile(`\b(cmd|examples)/(\{[\w,]+\}|\w+)`)
-	named := 0
+	named, made := 0, 0
 	for _, doc := range docs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -96,8 +106,14 @@ func TestDocsNameExistingCommands(t *testing.T) {
 				}
 			}
 		}
+		for _, m := range makeRe.FindAllStringSubmatch(string(src), -1) {
+			made++
+			if !targets[m[1]] {
+				t.Errorf("%s names `make %s`, which the Makefile does not define", doc, m[1])
+			}
+		}
 	}
-	if named == 0 {
-		t.Fatal("the documents name no cmd/ or examples/ directory at all; the pattern is broken")
+	if named == 0 || made == 0 || len(targets) == 0 {
+		t.Fatalf("%d cmd/ or examples/ names, %d make targets named, %d defined; a pattern is broken", named, made, len(targets))
 	}
 }

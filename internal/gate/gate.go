@@ -66,8 +66,6 @@ type Config struct {
 	// PollInterval paces the per-backend /v1/stats + /v1/readyz polls
 	// (0 = 250ms).
 	PollInterval time.Duration
-	// PollTimeout bounds one poll round-trip (0 = 1s).
-	PollTimeout time.Duration
 	// Alpha is the TC-table EWMA decay per observed job (0 = 0.3).
 	Alpha float64
 	// MaxAttempts bounds how many backends one job may be routed to
@@ -94,6 +92,9 @@ type Config struct {
 	// Logger receives routing-state transitions (nil = slog.Default).
 	Logger *slog.Logger
 }
+
+// pollTimeout bounds one /v1/stats or /v1/readyz poll round trip.
+const pollTimeout = time.Second
 
 var nameRE = regexp.MustCompile(`^[A-Za-z0-9_-]+$`)
 
@@ -196,9 +197,6 @@ func New(cfg Config) (*Gate, error) {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 250 * time.Millisecond
 	}
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = time.Second
-	}
 	if cfg.Alpha == 0 {
 		cfg.Alpha = 0.3
 	}
@@ -270,7 +268,7 @@ func New(cfg Config) (*Gate, error) {
 		now:          time.Now,
 		hedgeWindows: map[string]*latRing{},
 		budget:       newRetryBudget(cfg.Budget),
-		pollHC:       &http.Client{Timeout: cfg.PollTimeout},
+		pollHC:       &http.Client{Timeout: pollTimeout},
 		stop:         make(chan struct{}),
 	}
 	seen := map[string]bool{}

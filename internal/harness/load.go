@@ -24,6 +24,20 @@ type Phase struct {
 	Rates []float64
 }
 
+// Split shares rate across streams in proportion to weights: one
+// Phase's Rates for a weighted mix.
+func Split(rate float64, weights []float64) []float64 {
+	var sum float64
+	for _, w := range weights {
+		sum += w
+	}
+	rates := make([]float64, len(weights))
+	for i, w := range weights {
+		rates[i] = rate * w / sum
+	}
+	return rates
+}
+
 // Arrival is one job the schedule will send, At after the start. Steady
 // arrivals fall outside the ramp at the start of their phase.
 type Arrival struct {

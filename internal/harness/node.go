@@ -1,8 +1,8 @@
 // Package harness is the one in-process stack bring-up, open-loop load
-// driver, latency tally and report writer under cmd/watsaccept. A
-// scenario declares nodes, an optional gate and an arrival schedule;
-// the harness runs them over real loopback HTTP and, at Close, checks
-// job conservation at every layer.
+// driver, latency tally and report writer under cmd/watsaccept, and the
+// arrival process cmd/watsload sends. A scenario declares nodes, an
+// optional gate and an arrival schedule; the harness runs them over real
+// loopback HTTP and, at Close, checks job conservation at every layer.
 package harness
 
 import (
@@ -18,10 +18,11 @@ import (
 
 // NodeConfig is one backend: the machine shape it reports (the node
 // goes by the shape's name) and the jobs it serves. The rest is the same
-// for every scenario — WATS policy, lock-free deques, 16k queued tasks,
-// and speed emulation off, so wall time is the workload's own and a
-// scenario that wants a slow machine bakes the slowdown into its
-// workloads.
+// for every scenario — WATS policy, lock-free deques, 16k queued tasks.
+// A node serving the built-in kernels emulates its machine's speeds, as
+// watsd does; one serving a scenario's own workloads does not, so wall
+// time is the workload's own and a scenario that wants a slow machine
+// bakes the slowdown into its workloads.
 type NodeConfig struct {
 	Arch        *amc.Arch
 	MaxInflight int
@@ -50,7 +51,7 @@ func startNode(cfg NodeConfig) (*Node, error) {
 		Policy:                "WATS",
 		Seed:                  7,
 		LockFree:              true,
-		DisableSpeedEmulation: true,
+		DisableSpeedEmulation: cfg.Workloads != nil,
 		MaxQueuedTasks:        1 << 14,
 		Obs:                   cfg.Obs,
 	})

@@ -66,16 +66,16 @@ func Fold(samples []Sample, keep func(Sample) bool) Tally {
 func (t *Tally) SetLatencies(ok, steady []time.Duration) {
 	slices.Sort(ok)
 	slices.Sort(steady)
-	t.P50Ms = quantileMs(ok, 0.50)
-	t.P99Ms = quantileMs(ok, 0.99)
-	t.MaxMs = quantileMs(ok, 1)
-	t.SteadyP99Ms = quantileMs(steady, 0.99)
+	t.P50Ms = QuantileMs(ok, 0.50)
+	t.P99Ms = QuantileMs(ok, 0.99)
+	t.MaxMs = QuantileMs(ok, 1)
+	t.SteadyP99Ms = QuantileMs(steady, 0.99)
 }
 
-// quantileMs is the one percentile rule of every artifact: element
-// int(q*(n-1)) of the sorted latencies, in milliseconds at microsecond
-// resolution. An empty set reads 0.
-func quantileMs(sorted []time.Duration, q float64) float64 {
+// QuantileMs is the one percentile rule of every artifact and of
+// cmd/watsload's report: element int(q*(n-1)) of the sorted latencies,
+// in milliseconds at microsecond resolution. An empty set reads 0.
+func QuantileMs(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

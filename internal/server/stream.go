@@ -16,7 +16,8 @@
 // in-flight jobs to finish and their results to be written, closes the
 // queue, and the writer exits — which is exactly the zero-drop drain
 // property: jobs admitted before a drain or disconnect still complete
-// and are accounted, matching the unary path's semantics.
+// and are accounted, matching the unary path's semantics. A client
+// silent for streamIdleTimeout counts as disconnected.
 package server
 
 import (
@@ -34,6 +35,17 @@ import (
 // reading forfeits the remaining results (they are drained and
 // discarded so the records still recycle and jobs still account).
 const streamWriteTimeout = 10 * time.Second
+
+// streamIdleTimeout bounds how long the read side waits for the next
+// SUBMIT frame or the rest of one. A client that upgrades and then goes
+// silent, or stops mid-frame, has its read side ended as if it had sent
+// EOF: admitted jobs still finish and their results are still written.
+// A var so tests can shorten it.
+var streamIdleTimeout = 2 * time.Minute
+
+// submitFrameLen is the size of a SUBMIT frame, the only frame a client
+// sends.
+var submitFrameLen = len(wire.AppendSubmit(nil, &wire.Submit{}))
 
 // streamQueueDepth is the session queue capacity. Submissions beyond it
 // backpressure the producer (the finalizing worker or the reader), not
@@ -68,6 +80,7 @@ type streamSession struct {
 	conn net.Conn
 	outq chan streamOut
 	wg   sync.WaitGroup // one count per queued message (job or rejection)
+	idle time.Duration  // streamIdleTimeout when the session began
 
 	// byID maps wire workload ids (HELLO table order) to workloads.
 	byID []Workload
@@ -79,6 +92,7 @@ func (s *Server) serveStream(conn net.Conn, bufrw *bufio.ReadWriter) {
 		srv:  s,
 		conn: conn,
 		outq: make(chan streamOut, streamQueueDepth),
+		idle: streamIdleTimeout,
 	}
 	names := make([]string, 0, len(s.cfg.Workloads))
 	for n := range s.cfg.Workloads {
@@ -118,11 +132,20 @@ func (ss *streamSession) read(br *bufio.Reader) {
 	s := ss.srv
 	buf := make([]byte, 0, 256)
 	var sub wire.Submit
+	// The deadline is re-armed only when the next frame is not already
+	// buffered, so a pipelining client pays no deadline call per frame. A
+	// whole frame read from the buffer never touches the connection, so a
+	// deadline armed earlier cannot cut one short; one that claims another
+	// length ends the session anyway.
+	_ = ss.conn.SetReadDeadline(time.Now().Add(ss.idle))
 	for {
+		if br.Buffered() < submitFrameLen {
+			_ = ss.conn.SetReadDeadline(time.Now().Add(ss.idle))
+		}
 		ft, payload, nbuf, err := wire.ReadFrame(br, buf[:cap(buf)])
 		buf = nbuf
 		if err != nil {
-			return
+			return // EOF, the idle deadline, or a broken connection
 		}
 		if ft != wire.FrameSubmit {
 			return // protocol error: only SUBMIT flows client→server

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net"
 	"testing"
 	"time"
 
@@ -251,5 +254,78 @@ func TestStreamLedgerCaptureCounts(t *testing.T) {
 	if len(cap.Decisions) != n || len(cap.Ends) != n {
 		t.Errorf("ledger: %d decisions / %d ends, want %d/%d for %d admitted jobs",
 			len(cap.Decisions), len(cap.Ends), n, n, n)
+	}
+}
+
+// shortStreamIdle lowers the stream idle timeout for one test. Sessions
+// read it when they begin, so only sessions the test opens see it.
+func shortStreamIdle(t *testing.T, d time.Duration) {
+	old := streamIdleTimeout
+	streamIdleTimeout = d
+	t.Cleanup(func() { streamIdleTimeout = old })
+}
+
+// A client that upgrades and then sends nothing, or stops halfway through
+// a frame, is dropped after the idle timeout instead of holding its
+// session open forever.
+func TestStreamDropsSilentClients(t *testing.T) {
+	shortStreamIdle(t, 50*time.Millisecond)
+	e := newEnv(t, nil)
+	frame := wire.AppendSubmit(nil, &wire.Submit{ID: 1})
+	for _, tc := range []struct {
+		name string
+		send []byte
+	}{{"silent", nil}, {"half frame", frame[:len(frame)/2]}} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", e.ts.Listener.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			req := "GET /v1/stream HTTP/1.1\r\nHost: wats\r\nConnection: Upgrade\r\nUpgrade: " + wire.Proto + "\r\n\r\n"
+			if _, err := conn.Write(append([]byte(req), tc.send...)); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatalf("session still open after 10s: %v", err)
+			}
+			if !bytes.HasPrefix(got, []byte("HTTP/1.1 101 ")) {
+				t.Fatalf("no upgrade before the drop: %q", got)
+			}
+		})
+	}
+}
+
+// Idling past the timeout ends only the read side: a job admitted before
+// still finishes and its result is written before the session closes.
+func TestStreamIdleClientStillGetsItsResult(t *testing.T) {
+	shortStreamIdle(t, 50*time.Millisecond)
+	release := make(chan struct{})
+	e := newEnv(t, func(c *Config) {
+		c.Workloads["block"] = blockerWorkload(release)
+	})
+	sc := e.dialStream(t)
+	blockID, _ := sc.WorkloadID("block")
+	if err := sc.Submit(&wire.Submit{ID: 1, Workload: blockID}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool { return e.srv.Inflight() == 1 })
+	time.Sleep(200 * time.Millisecond) // four idle timeouts with the job still running
+	close(release)
+	if res, ok := <-sc.Results(); !ok || res.ID != 1 || res.Outcome != wire.OutcomeOK {
+		t.Fatalf("result %+v (open %v), want id 1 OK", res, ok)
+	}
+	select {
+	case res, ok := <-sc.Results():
+		if ok {
+			t.Fatalf("a result after the last one: %+v", res)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("session still open 10s after its last result")
 	}
 }

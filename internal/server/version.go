@@ -3,7 +3,7 @@ package server
 import stdruntime "runtime"
 
 // version and commit identify a deployed binary. They are overridden at
-// link time (see the Makefile's serve-demo/build flags):
+// link time:
 //
 //	go build -ldflags "-X wats/internal/server.version=v1.2.3 \
 //	                   -X wats/internal/server.commit=$(git rev-parse --short HEAD)"

@@ -222,9 +222,6 @@ func (e *Engine) Cores() []*Core { return e.cores }
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
 
-// NumGroups returns the number of c-groups in the architecture.
-func (e *Engine) NumGroups() int { return e.Arch.K() }
-
 func (e *Engine) schedule(at float64, kind eventKind, core int, token int64) {
 	e.seq++
 	e.ev.push(event{at: at, seq: e.seq, kind: kind, core: int32(core), token: token})

@@ -191,15 +191,6 @@ func (w *Batch) OnQuiescent(e *sim.Engine) bool {
 	return true
 }
 
-// TotalLeafWork returns the expected (noise-free) leaf work per batch.
-func (w *Batch) TotalLeafWork() float64 {
-	var s float64
-	for _, c := range w.Mix {
-		s += float64(c.Count) * c.Work
-	}
-	return s
-}
-
 // Validate checks the mix for positive counts and workloads.
 func (w *Batch) Validate() error {
 	if len(w.Mix) == 0 {
