@@ -64,6 +64,23 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
+// Fill sets dst to the next len(dst) outputs of Uint64, in order, with
+// the state kept in registers until the end.
+func (r *Source) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Source) Intn(n int) int {
 	if n <= 0 {

@@ -42,6 +42,24 @@ func TestReseed(t *testing.T) {
 	}
 }
 
+// TestFillMatchesUint64 holds Fill to repeated Uint64: the same outputs
+// and the same state after, at lengths 0 to 40.
+func TestFillMatchesUint64(t *testing.T) {
+	a, b := New(31), New(31)
+	for n := range 41 {
+		got := make([]uint64, n)
+		a.Fill(got)
+		for i, v := range got {
+			if want := b.Uint64(); v != want {
+				t.Fatalf("Fill of %d: output %d is %#x, Uint64 gave %#x", n, i, v, want)
+			}
+		}
+		if a.s != b.s {
+			t.Fatalf("Fill of %d left state %x, Uint64 %x", n, a.s, b.s)
+		}
+	}
+}
+
 func TestZeroSeedIsValid(t *testing.T) {
 	r := New(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 && r.Uint64() == 0 {
