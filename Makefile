@@ -3,7 +3,8 @@ GO ?= go
 .PHONY: check fmt vet build loc test race bench bench-sched bench-sim bench-kernels bench-serve bench-stack bench-smoke accept profile-serve figures trace-demo vulncheck
 
 # check is the CI gate: gofmt + vet + build + full tests + race pass over
-# the concurrent packages (live runtime, lock-free deques, event rings).
+# the concurrent packages (live runtime, lock-free deques, event rings,
+# the kernels' pooled scratch).
 check: fmt vet build test race
 
 fmt:
@@ -27,7 +28,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/runtime/... ./internal/deque/... ./internal/obs/... ./internal/task/... ./internal/history/... ./internal/server/... ./internal/fault/... ./internal/client/... ./internal/scale/... ./internal/trace/... ./internal/gate/... ./internal/harness/... ./internal/wire/... ./cmd/watsd/... ./cmd/watsload/...
+	$(GO) test -race ./internal/runtime/... ./internal/deque/... ./internal/obs/... ./internal/task/... ./internal/history/... ./internal/server/... ./internal/fault/... ./internal/client/... ./internal/scale/... ./internal/trace/... ./internal/gate/... ./internal/harness/... ./internal/wire/... ./cmd/watsd/... ./cmd/watsload/... ./internal/kernels/...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -47,13 +48,15 @@ bench-sim:
 	$(GO) test -run xxx -bench 'SimGrid|SimulatorThroughput|Reorganize' -benchmem .
 
 # bench-kernels times the three child kinds of a mix job at 4 KiB (bzip2
-# and LZW round trips, SHA-1 + MD5) on the inputs of the repository
-# benchmark's kernels.*_4k_ns micro-measurements, allocations included,
-# and BenchmarkKernelCosts times one task of every kernel family at the
-# sizes the simulator's task-class mixes were calibrated against;
+# and LZW round trips, SHA-1 + MD5), allocations included, cycling
+# through 32 seeds' inputs as a job does: the repository benchmark's
+# kernels.*_4k_ns repeat one input, which trains the caches and branch
+# predictor and reads faster. BenchmarkInput4K times a child's input
+# synthesis, and BenchmarkKernelCosts one task of every kernel family at
+# the sizes the simulator's task-class mixes were calibrated against;
 # TestMixChildAllocCeilings fails the build if the mix allocations grow.
 bench-kernels:
-	$(GO) test -run xxx -bench 'Bzip2Like4K|LZW4K|Digest4K|KernelCosts' -benchmem -count=5 ./internal/kernels/
+	$(GO) test -run xxx -bench 'Bzip2Like4K|LZW4K|Digest4K|Input4K|KernelCosts' -benchmem -count=5 ./internal/kernels/
 
 # bench-serve is the serving-path allocation gate (DESIGN.md §12, §13):
 # the TestZeroAlloc* tests fail the build if a steady-state unary or batch

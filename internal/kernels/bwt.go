@@ -2,7 +2,11 @@ package kernels
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 )
 
 // BWT computes the Burrows-Wheeler transform of data over its full
@@ -15,10 +19,13 @@ import (
 // than all its rotations) sort as its suffixes do, so the rotations of
 // data's primitive block sort as the suffixes, found by SA-IS, of that
 // block's smallest rotation.
-func BWT(data []byte) (out []byte, primary int) {
+func BWT(data []byte) (out []byte, primary int) { return bwt(nil, data) }
+
+// bwt is BWT writing its output into dst, grown to len(data).
+func bwt(dst, data []byte) (out []byte, primary int) {
 	n := len(data)
 	if n == 0 {
-		return nil, 0
+		return dst[:0], 0
 	}
 	p := n // length of the primitive block: the shortest period dividing n
 	for d := 1; d*d <= n; d++ {
@@ -29,13 +36,19 @@ func BWT(data []byte) (out []byte, primary int) {
 		}
 	}
 	k := leastRotation(data[:p])
-	s := make([]int32, p+1) // the Lyndon word, shifted past the 0 sentinel
-	for i := range p {
-		s[i] = int32(data[(k+i)%p]) + 1
+	sc := saisPool.Get().(*saisScratch)
+	defer saisPool.Put(sc)
+	sc.s = grow(sc.s, p+1) // the Lyndon word, shifted past the 0 sentinel
+	for i, b := range data[k:p] {
+		sc.s[i] = int32(b) + 1
 	}
+	for i, b := range data[:k] {
+		sc.s[p-k+i] = int32(b) + 1
+	}
+	sc.s[p] = 0
 	reps := n / p
-	out = make([]byte, n)
-	for r, j := range suffixArray32(s, 257)[1:] {
+	out = grow(dst, n)
+	for r, j := range sc.suffixArray(257)[1:] {
 		start := int(j) + k // of this row's rotation in data
 		if start >= p {
 			start -= p
@@ -86,6 +99,22 @@ func leastRotation(b []byte) int {
 
 // UnBWT inverts the Burrows-Wheeler transform.
 func UnBWT(bwt []byte, primary int) ([]byte, error) {
+	sc := bzPool.Get().(*bzScratch)
+	defer bzPool.Put(sc)
+	return sc.unBWT(bwt, primary)
+}
+
+// bzScratch is the working memory of a Bzip2Like, Bzip2LikeDecode or
+// UnBWT call: the stages' intermediate outputs and UnBWT's LF mapping.
+type bzScratch struct {
+	block, runs []byte // BWT then MTF, and RLE; UnRLE then UnMTF, and Huffman
+	next        []int32
+}
+
+var bzPool = sync.Pool{New: func() any { return new(bzScratch) }}
+
+// unBWT is UnBWT with its LF mapping in sc.next; the output is fresh.
+func (sc *bzScratch) unBWT(bwt []byte, primary int) ([]byte, error) {
 	n := len(bwt)
 	if n == 0 {
 		return nil, nil
@@ -95,25 +124,24 @@ func UnBWT(bwt []byte, primary int) ([]byte, error) {
 	}
 	// LF mapping: count occurrences, compute stable order of the first
 	// column, walk backwards.
-	var counts [256]int
-	for _, b := range bwt {
-		counts[b]++
-	}
 	var starts [256]int
-	sum := 0
-	for v := 0; v < 256; v++ {
-		starts[v] = sum
-		sum += counts[v]
+	for _, b := range bwt {
+		starts[b]++
 	}
-	next := make([]int32, n)
-	var seen [256]int
+	sum := 0
+	for v, c := range starts {
+		starts[v] = sum
+		sum += c
+	}
+	sc.next = grow(sc.next, n)
+	next := sc.next
 	for i, b := range bwt {
-		next[starts[b]+seen[b]] = int32(i)
-		seen[b]++
+		next[starts[b]] = int32(i)
+		starts[b]++
 	}
 	out := make([]byte, n)
 	p := next[primary]
-	for i := 0; i < n; i++ {
+	for i := range out {
 		out[i] = bwt[p]
 		p = next[p]
 	}
@@ -122,38 +150,75 @@ func UnBWT(bwt []byte, primary int) ([]byte, error) {
 
 // MTF applies the move-to-front transform (the BWT post-pass that
 // concentrates probability mass at small values).
-func MTF(data []byte) []byte {
+func MTF(data []byte) []byte { return mtf(make([]byte, len(data)), data) }
+
+// The move-to-front steps handle the alphabet's first eight symbols as
+// one word, with no branch on where in it the symbol is; BWT output
+// rarely reaches further back (text never does), and a symbol that does
+// takes a loop that shifts the ones before it down a place.
+const ones = 0x0101010101010101
+
+// toFront moves symbol b of the little-endian word w to its front; low
+// masks the bytes up to b's.
+func toFront(w, low, b uint64) uint64 { return w&^low | (w<<8)&low | b }
+
+// mtf writes MTF(src) to dst, which may be src.
+func mtf(dst, src []byte) []byte {
 	var alphabet [256]byte
 	for i := range alphabet {
 		alphabet[i] = byte(i)
 	}
-	out := make([]byte, len(data))
-	for i, b := range data {
-		var j int
-		for alphabet[j] != b {
-			j++
+	dst = dst[:len(src)]
+	w := binary.LittleEndian.Uint64(alphabet[:]) // the first eight, current
+	for i, b := range src {
+		// The lowest zero byte of x is where b is among the first eight.
+		x := w ^ ones*uint64(b)
+		if z := (x - ones) &^ x & (ones << 7); z != 0 {
+			w = toFront(w, (z&-z)<<1-1, uint64(b))
+			dst[i] = byte(bits.TrailingZeros64(z) / 8)
+			continue
 		}
-		out[i] = byte(j)
-		copy(alphabet[1:j+1], alphabet[:j])
+		binary.LittleEndian.PutUint64(alphabet[:], w)
+		c, j := alphabet[0], uint8(0)
 		alphabet[0] = b
+		for c != b {
+			j++
+			c, alphabet[j] = alphabet[j], c
+		}
+		w = binary.LittleEndian.Uint64(alphabet[:])
+		dst[i] = j
 	}
-	return out
+	return dst
 }
 
 // UnMTF inverts the move-to-front transform.
-func UnMTF(data []byte) []byte {
+func UnMTF(data []byte) []byte { return unMTF(make([]byte, len(data)), data) }
+
+// unMTF writes UnMTF(src) to dst, which may be src.
+func unMTF(dst, src []byte) []byte {
 	var alphabet [256]byte
 	for i := range alphabet {
 		alphabet[i] = byte(i)
 	}
-	out := make([]byte, len(data))
-	for i, j := range data {
+	dst = dst[:len(src)]
+	w := binary.LittleEndian.Uint64(alphabet[:]) // the first eight, current
+	for i, j := range src {
+		if j < 8 {
+			b := w >> (8 * j) & 0xff
+			w = toFront(w, ^(^uint64(0) << (8*j + 8)), b)
+			dst[i] = byte(b)
+			continue
+		}
+		binary.LittleEndian.PutUint64(alphabet[:], w)
 		b := alphabet[j]
-		out[i] = b
-		copy(alphabet[1:int(j)+1], alphabet[:int(j)])
+		for ; j > 0; j-- {
+			alphabet[j] = alphabet[j-1]
+		}
 		alphabet[0] = b
+		w = binary.LittleEndian.Uint64(alphabet[:])
+		dst[i] = b
 	}
-	return out
+	return dst
 }
 
 // RLE run-length-encodes data as (count, byte) pairs with a 255 cap per
@@ -163,13 +228,16 @@ func RLE(data []byte) []byte {
 	for i := 0; i < len(data); i += runAt(data, i) {
 		runs++
 	}
-	out := make([]byte, 0, 2*runs)
+	return appendRLE(make([]byte, 0, 2*runs), data)
+}
+
+func appendRLE(dst, data []byte) []byte {
 	for i := 0; i < len(data); {
 		run := runAt(data, i)
-		out = append(out, byte(run), data[i])
+		dst = append(dst, byte(run), data[i])
 		i += run
 	}
-	return out
+	return dst
 }
 
 // runAt returns the length of the run starting at data[i], capped at 255.
@@ -182,7 +250,10 @@ func runAt(data []byte, i int) int {
 }
 
 // UnRLE inverts RLE.
-func UnRLE(data []byte) ([]byte, error) {
+func UnRLE(data []byte) ([]byte, error) { return unRLE(nil, data) }
+
+// unRLE is UnRLE writing its output into dst, grown to fit.
+func unRLE(dst, data []byte) ([]byte, error) {
 	if len(data)%2 != 0 {
 		return nil, fmt.Errorf("kernels: RLE stream has odd length %d", len(data))
 	}
@@ -193,7 +264,7 @@ func UnRLE(data []byte) ([]byte, error) {
 		}
 		total += int(data[i])
 	}
-	out := make([]byte, 0, total)
+	out := slices.Grow(dst[:0], total)
 	for i := 0; i < len(data); i += 2 {
 		for range data[i] {
 			out = append(out, data[i+1])

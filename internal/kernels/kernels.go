@@ -22,6 +22,20 @@ package kernels
 
 import "wats/internal/rng"
 
+// Each kernel family keeps its working memory in a sync.Pool of scratch
+// structs: a call takes one and puts it back, so the next call on that P
+// reuses buffers still in its cache instead of zeroing fresh ones. What
+// a kernel returns to its caller is never pooled memory.
+
+// grow returns s resized to n, reallocated only if its capacity is short.
+// The contents are whatever s held: callers write before they read.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // Input generates deterministic pseudo-random byte corpora for the
 // kernels, with tunable redundancy so the compressors have structure to
 // find.
@@ -34,17 +48,37 @@ func NewInput(seed uint64) *Input {
 	return &Input{r: rng.New(seed ^ 0x5851F42D4C957F2D)}
 }
 
+// repeatBelow is 0.6 as a float64 times 2^53, exactly, so Float64() < 0.6
+// is u>>11 < repeatBelow on the same draw u.
+const repeatBelow = 5404319552844595
+
 // Bytes returns n bytes drawn from a small alphabet with repetition, so
-// that BWT/LZW/Huffman achieve real compression.
+// that BWT/LZW/Huffman achieve real compression. Past the ninth, a byte
+// takes two draws: Float64() < 0.6 repeats one of the eight bytes before
+// it, Intn(8) says which, else Intn(16) picks a letter (Intn is a
+// modulus, so both are masks). Draws come in stack batches, and the last
+// eight bytes ride in a register.
 func (in *Input) Bytes(n int) []byte {
 	out := make([]byte, n)
-	// Markov-ish: repeat recent substrings with high probability.
-	for i := range out {
-		if i > 8 && in.r.Float64() < 0.6 {
-			back := 1 + in.r.Intn(8)
-			out[i] = out[i-back]
-		} else {
-			out[i] = byte('a' + in.r.Intn(16))
+	var draws [256]uint64
+	var last uint64 // the last eight bytes, the latest lowest
+	head := draws[:min(n, 9)]
+	in.r.Fill(head)
+	for i, u := range head {
+		out[i] = byte('a' + u&15)
+		last = last<<8 | uint64(out[i])
+	}
+	for i := len(head); i < n; {
+		d := draws[:2*min(n-i, len(draws)/2)]
+		in.r.Fill(d)
+		for j := 0; j < len(d); j += 2 {
+			b := 'a' + d[j+1]&15
+			if rep := last >> (d[j+1] & 7 * 8) & 0xff; d[j]>>11 < repeatBelow {
+				b = rep // a conditional move: the choice is a coin flip
+			}
+			out[i] = byte(b)
+			last = last<<8 | b
+			i++
 		}
 	}
 	return out

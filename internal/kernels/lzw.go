@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // LZW implements Lempel-Ziv-Welch dictionary compression over uint16
@@ -12,15 +13,29 @@ import (
 // (its prefix code) plus one byte, so both directions keep the dictionary
 // as code tables and never build the strings.
 
+// lzwScratch holds the encoder's hash table and the decoder's code tables.
+type lzwScratch struct {
+	table       []uint64
+	prefix      []uint16
+	length      []int32
+	last, first []byte
+}
+
+var lzwPool = sync.Pool{New: func() any { return new(lzwScratch) }}
+
 // LZWEncode compresses data into a stream of 16-bit codes (big-endian).
 func LZWEncode(data []byte) []byte {
 	if len(data) == 0 {
 		return nil
 	}
+	sc := lzwPool.Get().(*lzwScratch)
+	defer lzwPool.Put(sc)
 	// An open-addressed map from prefix<<8|byte + 1 (0 marks a free slot)
 	// to the entry's code, packed as key<<16 | code, at most half full.
 	size := 1 << bits.Len(uint(2*min(len(data), 65535-256)-1))
-	table := make([]uint64, size)
+	sc.table = grow(sc.table, size)
+	table := sc.table
+	clear(table)
 	shift := 32 - bits.Len(uint(size-1))
 	out := make([]byte, 0, len(data))
 	next := uint64(256)
@@ -57,9 +72,11 @@ func LZWDecode(enc []byte) ([]byte, error) {
 	code := func(i int) int { return int(enc[2*i])<<8 | int(enc[2*i+1]) }
 	// Each code after the first adds at most one entry.
 	limit := 256 + min(codes, 65535-256)
-	prefix := make([]uint16, limit)
-	length := make([]int32, limit)
-	last, first := make([]byte, limit), make([]byte, limit)
+	sc := lzwPool.Get().(*lzwScratch)
+	defer lzwPool.Put(sc)
+	sc.prefix, sc.length = grow(sc.prefix, limit), grow(sc.length, limit)
+	sc.last, sc.first = grow(sc.last, limit), grow(sc.first, limit)
+	prefix, length, last, first := sc.prefix, sc.length, sc.last, sc.first
 	for c := range 256 {
 		length[c], last[c], first[c] = 1, byte(c), byte(c)
 	}

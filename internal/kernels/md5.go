@@ -3,6 +3,7 @@ package kernels
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // MD5 implemented from scratch (RFC 1321); validated against crypto/md5
@@ -23,61 +24,54 @@ var md5S = [64]uint32{
 	6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
 }
 
-// MD5Sum computes the MD5 digest of data.
+// MD5Sum computes the MD5 digest of data: its whole blocks in place, then
+// the tail padded on the stack with 0x80, zeros and the 64-bit
+// little-endian bit length, one block or two.
 func MD5Sum(data []byte) [16]byte {
-	a0, b0, c0, d0 := uint32(0x67452301), uint32(0xefcdab89), uint32(0x98badcfe), uint32(0x10325476)
-
-	// Padding: append 0x80, zeros, then the 64-bit little-endian length.
-	msgLen := uint64(len(data))
-	padded := make([]byte, 0, len(data)+72)
-	padded = append(padded, data...)
-	padded = append(padded, 0x80)
-	for len(padded)%64 != 56 {
-		padded = append(padded, 0)
+	h := [4]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476}
+	whole := len(data) &^ 63
+	md5Blocks(&h, data[:whole])
+	var tail [128]byte
+	k := copy(tail[:], data[whole:])
+	tail[k] = 0x80
+	end := 64
+	if k >= 56 {
+		end = 128
 	}
-	var lenBytes [8]byte
-	binary.LittleEndian.PutUint64(lenBytes[:], msgLen*8)
-	padded = append(padded, lenBytes[:]...)
-
-	var m [16]uint32
-	for chunk := 0; chunk < len(padded); chunk += 64 {
-		for i := 0; i < 16; i++ {
-			m[i] = binary.LittleEndian.Uint32(padded[chunk+4*i:])
-		}
-		a, b, c, d := a0, b0, c0, d0
-		for i := 0; i < 64; i++ {
-			var f uint32
-			var g int
-			switch {
-			case i < 16:
-				f = (b & c) | (^b & d)
-				g = i
-			case i < 32:
-				f = (d & b) | (^d & c)
-				g = (5*i + 1) % 16
-			case i < 48:
-				f = b ^ c ^ d
-				g = (3*i + 5) % 16
-			default:
-				f = c ^ (b | ^d)
-				g = (7 * i) % 16
-			}
-			f = f + a + md5K[i] + m[g]
-			a = d
-			d = c
-			c = b
-			b = b + (f<<md5S[i] | f>>(32-md5S[i]))
-		}
-		a0 += a
-		b0 += b
-		c0 += c
-		d0 += d
-	}
-
+	binary.LittleEndian.PutUint64(tail[end-8:], uint64(len(data))*8)
+	md5Blocks(&h, tail[:end])
 	var out [16]byte
-	binary.LittleEndian.PutUint32(out[0:], a0)
-	binary.LittleEndian.PutUint32(out[4:], b0)
-	binary.LittleEndian.PutUint32(out[8:], c0)
-	binary.LittleEndian.PutUint32(out[12:], d0)
+	for i, v := range h {
+		binary.LittleEndian.PutUint32(out[4*i:], v)
+	}
 	return out
+}
+
+// md5Blocks runs the compression function over every 64-byte block of p,
+// a loop per round, each with its own function and message order.
+func md5Blocks(h *[4]uint32, p []byte) {
+	var m [16]uint32
+	for ; len(p) >= 64; p = p[64:] {
+		for i := range m {
+			m[i] = binary.LittleEndian.Uint32(p[4*i:])
+		}
+		a, b, c, d := h[0], h[1], h[2], h[3]
+		for i := 0; i < 16; i++ {
+			f := (b&c | ^b&d) + a + md5K[i] + m[i]
+			a, b, c, d = d, b+bits.RotateLeft32(f, int(md5S[i])), b, c
+		}
+		for i := 16; i < 32; i++ {
+			f := (d&b | ^d&c) + a + md5K[i] + m[(5*i+1)%16]
+			a, b, c, d = d, b+bits.RotateLeft32(f, int(md5S[i])), b, c
+		}
+		for i := 32; i < 48; i++ {
+			f := (b ^ c ^ d) + a + md5K[i] + m[(3*i+5)%16]
+			a, b, c, d = d, b+bits.RotateLeft32(f, int(md5S[i])), b, c
+		}
+		for i := 48; i < 64; i++ {
+			f := (c ^ (b | ^d)) + a + md5K[i] + m[(7*i)%16]
+			a, b, c, d = d, b+bits.RotateLeft32(f, int(md5S[i])), b, c
+		}
+		h[0], h[1], h[2], h[3] = h[0]+a, h[1]+b, h[2]+c, h[3]+d
+	}
 }

@@ -1,6 +1,9 @@
 package kernels
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // SA-IS: linear-time suffix-array construction by induced sorting
 // (Nong, Zhang & Chan, 2009). This is the algorithm behind the BWT
@@ -14,27 +17,40 @@ func SuffixArray(data []byte) []int {
 	if n == 0 {
 		return nil
 	}
+	sc := saisPool.Get().(*saisScratch)
+	defer saisPool.Put(sc)
 	// Symbols shift by +1 to make room for the 0 sentinel SA-IS needs.
-	s := make([]int32, n+1)
+	sc.s = grow(sc.s, n+1)
 	for i, b := range data {
-		s[i] = int32(b) + 1
+		sc.s[i] = int32(b) + 1
 	}
+	sc.s[n] = 0
 	out := make([]int, n)
-	for i, p := range suffixArray32(s, 257)[1:] { // the sentinel sorts first
+	for i, p := range sc.suffixArray(257)[1:] { // the sentinel sorts first
 		out[i] = int(p)
 	}
 	return out
 }
 
-// suffixArray32 returns the suffix array of s, whose symbols are in
-// [0, sigma) and whose last symbol is a unique smallest sentinel. All
-// recursion levels share two allocations: each level's string is at most
-// half the one above, and so is its alphabet.
-func suffixArray32(s []int32, sigma int) []int32 {
-	n := len(s)
-	buf := make([]int32, 2*n+max(sigma, n/2+1))
-	sa := buf[:n]
-	sais(s, sa, sigma, make([]bool, n), buf[2*n:], buf[n:2*n])
+// saisScratch is SA-IS's working set: the string to sort, the suffix
+// array with the buckets and reduced strings after it, and the types.
+type saisScratch struct {
+	s, buf []int32
+	isS    []bool
+}
+
+var saisPool = sync.Pool{New: func() any { return new(saisScratch) }}
+
+// suffixArray returns the suffix array of sc.s, whose symbols are in
+// [0, sigma) and whose last symbol is a unique smallest sentinel; it
+// aliases sc.buf. All recursion levels share sc.buf and sc.isS: each
+// level's string is at most half the one above, and so is its alphabet.
+func (sc *saisScratch) suffixArray(sigma int) []int32 {
+	n := len(sc.s)
+	sc.buf = grow(sc.buf, 2*n+max(sigma, n/2+1))
+	sc.isS = grow(sc.isS, n)
+	sa := sc.buf[:n]
+	sais(sc.s, sa, sigma, sc.isS, sc.buf[2*n:], sc.buf[n:2*n])
 	return sa
 }
 
@@ -123,12 +139,17 @@ func sais(s, sa []int32, sigma int, isS []bool, bkt, ws []int32) {
 }
 
 // classify marks each suffix of s S-type (smaller than the next) or
-// L-type.
+// L-type. Suffix i is S-type if s[i] < s[i+1], or they are equal and
+// suffix i+1 is: if s[i] < s[i+1]+t, t = 1 if suffix i+1 is S-type. The
+// compare is a sign bit, with no branch.
 func classify(s []int32, isS []bool) {
 	n := len(s)
+	isS = isS[:n]
 	isS[n-1] = true
+	t := int32(1)
 	for i := n - 2; i >= 0; i-- {
-		isS[i] = s[i] < s[i+1] || s[i] == s[i+1] && isS[i+1]
+		t = int32(uint32(s[i]-s[i+1]-t) >> 31)
+		isS[i] = t == 1
 	}
 }
 
@@ -186,18 +207,6 @@ func fill(a []int32, v int32) {
 	for i := range a {
 		a[i] = v
 	}
-}
-
-// naiveSuffixArray is the O(n² log n) reference used by the tests.
-func naiveSuffixArray(data []byte) []int {
-	sa := make([]int, len(data))
-	for i := range sa {
-		sa[i] = i
-	}
-	sort.Slice(sa, func(a, b int) bool {
-		return string(data[sa[a]:]) < string(data[sa[b]:])
-	})
-	return sa
 }
 
 // SearchAll returns the start offsets of every occurrence of pattern in

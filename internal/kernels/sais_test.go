@@ -2,9 +2,22 @@ package kernels
 
 import (
 	"bytes"
+	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// naiveSuffixArray is the O(n² log n) reference used by the tests.
+func naiveSuffixArray(data []byte) []int {
+	sa := make([]int, len(data))
+	for i := range sa {
+		sa[i] = i
+	}
+	sort.Slice(sa, func(a, b int) bool {
+		return string(data[sa[a]:]) < string(data[sa[b]:])
+	})
+	return sa
+}
 
 func TestSuffixArrayKnown(t *testing.T) {
 	cases := map[string][]int{

@@ -1,74 +1,65 @@
 package kernels
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // SHA-1 implemented from scratch (FIPS 180-1); validated against
 // crypto/sha1 in the tests. It is the SHA-1 benchmark's work unit.
 
-// SHA1Sum computes the SHA-1 digest of data.
+// SHA1Sum computes the SHA-1 digest of data: its whole blocks in place,
+// then the tail padded on the stack with 0x80, zeros and the 64-bit
+// big-endian bit length, one block or two.
 func SHA1Sum(data []byte) [20]byte {
-	h0 := uint32(0x67452301)
-	h1 := uint32(0xEFCDAB89)
-	h2 := uint32(0x98BADCFE)
-	h3 := uint32(0x10325476)
-	h4 := uint32(0xC3D2E1F0)
-
-	msgLen := uint64(len(data))
-	padded := make([]byte, 0, len(data)+72)
-	padded = append(padded, data...)
-	padded = append(padded, 0x80)
-	for len(padded)%64 != 56 {
-		padded = append(padded, 0)
+	h := [5]uint32{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0}
+	whole := len(data) &^ 63
+	sha1Blocks(&h, data[:whole])
+	var tail [128]byte
+	k := copy(tail[:], data[whole:])
+	tail[k] = 0x80
+	end := 64
+	if k >= 56 {
+		end = 128
 	}
-	var lenBytes [8]byte
-	binary.BigEndian.PutUint64(lenBytes[:], msgLen*8)
-	padded = append(padded, lenBytes[:]...)
+	binary.BigEndian.PutUint64(tail[end-8:], uint64(len(data))*8)
+	sha1Blocks(&h, tail[:end])
+	var out [20]byte
+	for i, v := range h {
+		binary.BigEndian.PutUint32(out[4*i:], v)
+	}
+	return out
+}
 
+// sha1Blocks runs the compression function over every 64-byte block of
+// p, a loop per stage of 20 rounds, each with its own function and
+// constant.
+func sha1Blocks(h *[5]uint32, p []byte) {
 	var w [80]uint32
-	rotl := func(x uint32, n uint) uint32 { return x<<n | x>>(32-n) }
-	for chunk := 0; chunk < len(padded); chunk += 64 {
+	for ; len(p) >= 64; p = p[64:] {
 		for i := 0; i < 16; i++ {
-			w[i] = binary.BigEndian.Uint32(padded[chunk+4*i:])
+			w[i] = binary.BigEndian.Uint32(p[4*i:])
 		}
 		for i := 16; i < 80; i++ {
-			w[i] = rotl(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
+			w[i] = bits.RotateLeft32(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
 		}
-		a, b, c, d, e := h0, h1, h2, h3, h4
-		for i := 0; i < 80; i++ {
-			var f, k uint32
-			switch {
-			case i < 20:
-				f = (b & c) | (^b & d)
-				k = 0x5A827999
-			case i < 40:
-				f = b ^ c ^ d
-				k = 0x6ED9EBA1
-			case i < 60:
-				f = (b & c) | (b & d) | (c & d)
-				k = 0x8F1BBCDC
-			default:
-				f = b ^ c ^ d
-				k = 0xCA62C1D6
-			}
-			tmp := rotl(a, 5) + f + e + k + w[i]
-			e = d
-			d = c
-			c = rotl(b, 30)
-			b = a
-			a = tmp
+		a, b, c, d, e := h[0], h[1], h[2], h[3], h[4]
+		for i := 0; i < 20; i++ {
+			f := b&c | ^b&d
+			a, b, c, d, e = bits.RotateLeft32(a, 5)+f+e+0x5A827999+w[i], a, bits.RotateLeft32(b, 30), c, d
 		}
-		h0 += a
-		h1 += b
-		h2 += c
-		h3 += d
-		h4 += e
+		for i := 20; i < 40; i++ {
+			f := b ^ c ^ d
+			a, b, c, d, e = bits.RotateLeft32(a, 5)+f+e+0x6ED9EBA1+w[i], a, bits.RotateLeft32(b, 30), c, d
+		}
+		for i := 40; i < 60; i++ {
+			f := b&c | b&d | c&d
+			a, b, c, d, e = bits.RotateLeft32(a, 5)+f+e+0x8F1BBCDC+w[i], a, bits.RotateLeft32(b, 30), c, d
+		}
+		for i := 60; i < 80; i++ {
+			f := b ^ c ^ d
+			a, b, c, d, e = bits.RotateLeft32(a, 5)+f+e+0xCA62C1D6+w[i], a, bits.RotateLeft32(b, 30), c, d
+		}
+		h[0], h[1], h[2], h[3], h[4] = h[0]+a, h[1]+b, h[2]+c, h[3]+d, h[4]+e
 	}
-
-	var out [20]byte
-	binary.BigEndian.PutUint32(out[0:], h0)
-	binary.BigEndian.PutUint32(out[4:], h1)
-	binary.BigEndian.PutUint32(out[8:], h2)
-	binary.BigEndian.PutUint32(out[12:], h3)
-	binary.BigEndian.PutUint32(out[16:], h4)
-	return out
 }
