@@ -222,7 +222,6 @@ func run(ctx context.Context, opts *options, ln net.Listener, logger *slog.Logge
 		Arch:                  opts.arch,
 		Policy:                opts.kind,
 		Seed:                  7,
-		LockFree:              true,
 		DisableSpeedEmulation: opts.noEmu,
 		MaxQueuedTasks:        opts.maxQueued,
 		Obs:                   obs.NewTracer(opts.arch.NumCores(), 0),

@@ -5,7 +5,7 @@
 //
 //   - Deque[T]: a plain, single-threaded growable ring deque used by the
 //     discrete-event simulator, where the engine serializes all accesses.
-//   - Mutex-free Chase–Lev deque (see chaselev.go): the classic
+//   - ChaseLev[T]: the lock-free Chase–Lev deque, the classic
 //     work-stealing deque used by the live goroutine runtime, where the
 //     owner pushes/pops the bottom without synchronization in the common
 //     case and thieves steal the top with atomic operations.
@@ -17,7 +17,8 @@ package deque
 
 // Deque is a growable ring-buffer double-ended queue. The zero value is
 // ready to use. It is not safe for concurrent use; the simulator's event
-// loop serializes access, and the live runtime wraps it in a mutex.
+// loop serializes access, and the live runtime's shared inbox wraps it in
+// a mutex.
 //
 // The buffer capacity is kept a power of two so ring indices are computed
 // with a mask instead of an integer division (the push/pop pair sits on

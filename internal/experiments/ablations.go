@@ -14,7 +14,7 @@ import (
 // DESIGN.md §5):
 //
 //  1. Partition rule: WATS with the literal Algorithm 1 greedy vs the
-//     anchored (default) and deviation-balanced cut rules.
+//     anchored (default) cut rule.
 //  2. Spawn discipline: WATS with parent-first (default) vs child-first
 //     spawning, quantifying the workload mis-measurement of §III-C.
 //  3. Helper cadence: WATS with helper periods from 0.1 ms to 100 ms.

@@ -360,7 +360,6 @@ func realBackend(t *testing.T, sleep time.Duration) string {
 	rt, err := runtime.New(runtime.Config{
 		Arch:                  amc.MustNew("test", amc.CGroup{Freq: 2.0, N: 2}),
 		DisableSpeedEmulation: true,
-		LockFree:              true,
 		Seed:                  7,
 	})
 	if err != nil {

@@ -50,7 +50,6 @@ func startNode(cfg NodeConfig) (*Node, error) {
 		Arch:                  cfg.Arch,
 		Policy:                "WATS",
 		Seed:                  7,
-		LockFree:              true,
 		DisableSpeedEmulation: cfg.Workloads != nil,
 		MaxQueuedTasks:        1 << 14,
 		Obs:                   cfg.Obs,

@@ -4,13 +4,12 @@
 // Algorithm 2 (package task), and the per-c-group preference lists of the
 // preference-based task-stealing policy (§III-B, Fig. 4, Table I).
 //
-// It also ships two reference allocators used by the test-suite to bound
-// Algorithm 1's quality: an exact branch-and-bound solver for the fluid
+// Its tests bound Algorithm 1's quality with two reference allocators kept
+// in alloc_test.go: an exact branch-and-bound solver for the fluid
 // grouped-machines model, and the classic LPT greedy heuristic.
 package history
 
 import (
-	"fmt"
 	"slices"
 
 	"wats/internal/amc"
@@ -32,9 +31,10 @@ import (
 // on the last (slowest) group — with coarse class weights the slowest
 // c-group can end up far above TL. The paper's stated objective
 // ("keep max(|Σw/cap − TL|, ...) as small as possible", §II-C) is better
-// served by PartitionBalanced, which WATS uses by default; the
-// preference-based stealing's "rob the weaker first" order is precisely
-// what rescues the literal rule's slow-group surplus.
+// served by PartitionAnchored, the Allocator's default; the literal rule
+// is kept for the partition-rule ablation (UseLiteralPartition), where
+// the preference-based stealing's "rob the weaker first" order is
+// precisely what rescues its slow-group surplus.
 func Partition(w []float64, arch *amc.Arch) []int {
 	return literalCuts(make([]int, 0, arch.K()-1), w, arch)
 }
@@ -70,57 +70,15 @@ func literalCuts(buf []int, w []float64, arch *amc.Arch) []int {
 	return cuts
 }
 
-// PartitionBalanced is the deviation-minimizing variant of Algorithm 1:
-// each overflowing item is placed on whichever side of the cut minimizes
-// the deviation from the group's proportional share, directly implementing
-// the objective stated in §II-C. It is the default cut rule of this
-// implementation's WATS; the literal pseudocode rule (Partition) is kept
-// for the partition-rule ablation.
-func PartitionBalanced(w []float64, arch *amc.Arch) []int {
-	k := arch.K()
-	cuts := make([]int, 0, k-1)
-	if k == 1 {
-		return cuts
-	}
-	tl := arch.LowerBound(w)
-	acc := 0.0
-	j := 0
-	for i := 0; i < len(w) && j < k-1; i++ {
-		cap := tl * arch.Groups[j].Capacity()
-		if acc+w[i] > cap {
-			// Decide whether item i stays in group j or starts group j+1 by
-			// comparing deviations from the share.
-			over := acc + w[i] - cap
-			under := cap - acc
-			if over <= under {
-				// Keep item i in group j; the cut falls after it.
-				cuts = append(cuts, i+1)
-				j++
-				acc = 0
-				continue
-			}
-			cuts = append(cuts, i)
-			j++
-			acc = w[i]
-			continue
-		}
-		acc += w[i]
-	}
-	for len(cuts) < k-1 {
-		cuts = append(cuts, len(w))
-	}
-	return cuts
-}
-
 // PartitionAnchored cuts each group at the largest prefix whose cumulative
 // weight stays within the group's *global* cumulative share
 // TL*(cap_1+...+cap_j). Unlike the literal Algorithm 1, a group's
 // under-fill does not inflate the next group's allowance (no cascade), so
 // the slowest group's surplus stays bounded by one class weight per
-// boundary; unlike PartitionBalanced, faster groups are never loaded
-// beyond their share, so any surplus flows toward slower c-groups — where
-// it consists of the smallest classes, exactly the tasks the
-// "rob the weaker first" preference stealing redistributes most cheaply.
+// boundary, and faster groups are never loaded beyond their share, so
+// any surplus flows toward slower c-groups — where it consists of the
+// smallest classes, exactly the tasks the "rob the weaker first"
+// preference stealing redistributes most cheaply.
 // This is the default cut rule of the Allocator.
 func PartitionAnchored(w []float64, arch *amc.Arch) []int {
 	return anchoredCuts(make([]int, 0, arch.K()-1), w, arch)
@@ -179,90 +137,4 @@ func assignmentInto(buf []int, m int, cuts []int) []int {
 		assign[i] = g
 	}
 	return assign
-}
-
-// Makespan evaluates an arbitrary (not necessarily contiguous) assignment
-// of item weights to c-groups under the fluid model: each group completes
-// its assigned weight at aggregate speed Fi*Ni.
-func Makespan(w []float64, assign []int, arch *amc.Arch) float64 {
-	loads := make([]float64, arch.K())
-	for i, g := range assign {
-		loads[g] += w[i]
-	}
-	var ms float64
-	for g, l := range loads {
-		t := l / arch.Groups[g].Capacity()
-		if t > ms {
-			ms = t
-		}
-	}
-	return ms
-}
-
-// LPT is the Longest-Processing-Time-first greedy for uniform machines at
-// c-group granularity: items (assumed sorted descending) are placed one by
-// one on the group that would finish them earliest. It is the classic
-// baseline from the scheduling literature the paper cites ([13], [14]).
-func LPT(w []float64, arch *amc.Arch) []int {
-	k := arch.K()
-	loads := make([]float64, k)
-	assign := make([]int, len(w))
-	for i, wi := range w {
-		best, bestT := 0, -1.0
-		for g := 0; g < k; g++ {
-			t := (loads[g] + wi) / arch.Groups[g].Capacity()
-			if bestT < 0 || t < bestT {
-				best, bestT = g, t
-			}
-		}
-		assign[i] = best
-		loads[best] += wi
-	}
-	return assign
-}
-
-// Exact solves the grouped-machines makespan minimization exactly by
-// branch-and-bound over all item-to-group assignments. Exponential in
-// len(w); intended only for small property-test instances (m <= ~14).
-func Exact(w []float64, arch *amc.Arch) (assign []int, makespan float64, err error) {
-	if len(w) > 20 {
-		return nil, 0, fmt.Errorf("history: Exact limited to 20 items, got %d", len(w))
-	}
-	k := arch.K()
-	best := make([]int, len(w))
-	cur := make([]int, len(w))
-	loads := make([]float64, k)
-	// Initial incumbent: LPT.
-	lpt := LPT(w, arch)
-	copy(best, lpt)
-	bestMS := Makespan(w, lpt, arch)
-	lb := arch.LowerBound(w)
-
-	var rec func(i int, curMax float64)
-	rec = func(i int, curMax float64) {
-		if curMax >= bestMS {
-			return
-		}
-		if i == len(w) {
-			bestMS = curMax
-			copy(best, cur)
-			return
-		}
-		for g := 0; g < k; g++ {
-			loads[g] += w[i]
-			t := loads[g] / arch.Groups[g].Capacity()
-			nm := curMax
-			if t > nm {
-				nm = t
-			}
-			cur[i] = g
-			rec(i+1, nm)
-			loads[g] -= w[i]
-			if bestMS <= lb*(1+1e-12) {
-				return // already optimal
-			}
-		}
-	}
-	rec(0, 0)
-	return best, bestMS, nil
 }

@@ -73,14 +73,6 @@ func (m *ClusterMap) Classes(c int) []string {
 	return out
 }
 
-// BuildClusterMap runs the full §III-A pipeline once: take a snapshot of
-// the class registry, sort classes by descending average workload, weight
-// each class by its overall workload n*w, partition with the default
-// anchored cut rule, and return the class-to-cluster mapping.
-func BuildClusterMap(reg *task.Registry, arch *amc.Arch) *ClusterMap {
-	return new(builder).build(reg, arch, anchoredCuts, nil)
-}
-
 // builder holds the intermediate buffers of one §III-A pipeline run. The
 // Allocator keeps one under reorgMu and reuses it every helper tick; only
 // the published ClusterMap escapes a build, never a buffer.

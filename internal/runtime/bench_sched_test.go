@@ -24,10 +24,12 @@ func benchArch(w int) *amc.Arch {
 }
 
 // BenchmarkSpawnParallel measures spawn-to-complete throughput of the live
-// runtime under worker parallelism: one spawner goroutine per worker drives
-// the per-worker spawn path (cluster routing, pool push, wakeup) while the
-// workers drain the no-op tasks concurrently. The before/after numbers for
-// the lock-free hot-path refactor are recorded in DESIGN.md §7.
+// runtime under worker parallelism: each worker runs one root task that
+// spawns its share of no-op tasks — the per-worker spawn path (cluster
+// routing, owner push, wakeup) — while the other workers steal and drain
+// them concurrently. The root joins every 1024 children with Group.Wait,
+// helping to run them, so the queue stays bounded whatever b.N is.
+// DESIGN.md §7 records its numbers.
 func BenchmarkSpawnParallel(b *testing.B) {
 	for _, workers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -41,21 +43,24 @@ func BenchmarkSpawnParallel(b *testing.B) {
 			}
 			nop := func(ctx *Ctx) {}
 			per := b.N/workers + 1
-			// Drive each worker's spawn path directly (mutex pools tolerate
-			// non-owner pushes; this bench never runs in lock-free mode).
-			ws := rt.table.Load().ws
+			// Every root waits until all have started, so each worker
+			// holds exactly one and spawns from its own pools.
+			var started sync.WaitGroup
+			started.Add(workers)
 			b.ResetTimer()
-			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						rt.spawnTask(ws[w], "", &liveTask{class: spawnClasses[(i+w)%len(spawnClasses)], fn: nop})
+				rt.Spawn("root", func(ctx *Ctx) {
+					started.Done()
+					started.Wait()
+					for i := 0; i < per; {
+						g := ctx.Group()
+						for end := min(i+1024, per); i < end; i++ {
+							g.Spawn(ctx, spawnClasses[(i+w)%len(spawnClasses)], nop)
+						}
+						g.Wait(ctx)
 					}
-				}(w)
+				})
 			}
-			wg.Wait()
 			rt.Wait()
 			b.StopTimer()
 			rt.Shutdown()

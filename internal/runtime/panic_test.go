@@ -101,7 +101,7 @@ func TestPanicIsolation(t *testing.T) {
 // accounting — Wait and Group.Wait converge, and Cancelled() shows the
 // retirements.
 func TestPanicPoisonsSiblings(t *testing.T) {
-	rt, err := New(Config{Arch: smallArch(), Seed: 12, DisableSpeedEmulation: true, LockFree: true})
+	rt, err := New(Config{Arch: smallArch(), Seed: 12, DisableSpeedEmulation: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,55 +109,52 @@ func TestCustomStrategyOverride(t *testing.T) {
 	}
 }
 
-// TestLockFreeMutexParity (lock-free vs mutex pool parity): the same
-// seeded workload through Config.LockFree true/false under each policy
-// kind must execute the identical task set and leave every pool drained.
-// CI runs this package under -race, so the lock-free pools are exercised
-// with the detector on.
-func TestLockFreeMutexParity(t *testing.T) {
+// TestOnePoolEveryKind: under each policy kind, a seeded spawn tree run
+// through the Chase-Lev worker pools executes all 60 tasks, leaves every
+// pool drained, counts exactly the executed tasks in Stats, and lands
+// every leaf in the class registry. CI runs this package under -race, so
+// the lock-free pools are exercised with the detector on.
+func TestOnePoolEveryKind(t *testing.T) {
 	for _, kind := range allKinds {
 		t.Run(string(kind), func(t *testing.T) {
-			counts := map[bool]int64{}
-			for _, lockFree := range []bool{false, true} {
-				rt, err := New(Config{Arch: smallArch(), Policy: kind, Seed: 42,
-					LockFree: lockFree, DisableSpeedEmulation: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var ran atomic.Int64
-				// Deterministic spawn tree: 12 roots, each spawning a
-				// class-dependent number of children, each child one leaf.
-				for i := 0; i < 12; i++ {
-					children := 1 + i%3
-					class := fmt.Sprintf("c%d", i%3)
-					rt.Spawn(class, func(ctx *Ctx) {
-						ran.Add(1)
-						for j := 0; j < children; j++ {
-							ctx.Spawn(class+"_kid", func(ctx *Ctx) {
-								ran.Add(1)
-								ctx.Spawn("leaf", func(ctx *Ctx) { ran.Add(1) })
-							})
-						}
-					})
-				}
-				rt.Wait()
-				if q := rt.nonEmptyPools(); q != 0 {
-					t.Fatalf("lockFree=%v: %d pools not drained after Wait", lockFree, q)
-				}
-				var statsRun int64
-				for _, s := range rt.Stats() {
-					statsRun += s.TasksRun
-				}
-				if statsRun != ran.Load() {
-					t.Fatalf("lockFree=%v: stats count %d != executed %d", lockFree, statsRun, ran.Load())
-				}
-				rt.Shutdown()
-				counts[lockFree] = ran.Load()
+			rt, err := New(Config{Arch: smallArch(), Policy: kind, Seed: 42, DisableSpeedEmulation: true})
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer rt.Shutdown()
+			var ran atomic.Int64
+			// Deterministic spawn tree: 12 roots, each spawning a
+			// class-dependent number of children, each child one leaf.
+			for i := 0; i < 12; i++ {
+				children := 1 + i%3
+				class := fmt.Sprintf("c%d", i%3)
+				rt.Spawn(class, func(ctx *Ctx) {
+					ran.Add(1)
+					for j := 0; j < children; j++ {
+						ctx.Spawn(class+"_kid", func(ctx *Ctx) {
+							ran.Add(1)
+							ctx.Spawn("leaf", func(ctx *Ctx) { ran.Add(1) })
+						})
+					}
+				})
+			}
+			rt.Wait()
 			// 12 roots + sum(1+i%3) children ×2 (child+leaf) = 12 + 2*24 = 60.
-			if counts[false] != counts[true] || counts[false] != 60 {
-				t.Fatalf("task counts differ: mutex=%d lock-free=%d want 60",
-					counts[false], counts[true])
+			if got := ran.Load(); got != 60 {
+				t.Fatalf("ran %d tasks, want 60", got)
+			}
+			if q := rt.nonEmptyPools(); q != 0 {
+				t.Fatalf("%d pools not drained after Wait", q)
+			}
+			var statsRun int64
+			for _, s := range rt.Stats() {
+				statsRun += s.TasksRun
+			}
+			if statsRun != ran.Load() {
+				t.Fatalf("stats count %d != executed %d", statsRun, ran.Load())
+			}
+			if c, ok := rt.Registry().Lookup("leaf"); !ok || c.Count != 24 {
+				t.Fatalf("registry: %+v, want 24 leaves", c)
 			}
 		})
 	}

@@ -183,8 +183,8 @@ func (rt *Runtime) allocID() int {
 func (rt *Runtime) retireDrain(w *worker) {
 	for cl, p := range w.pools {
 		for {
-			t := p.popBottom()
-			if t == nil {
+			t, ok := p.PopBottom()
+			if !ok {
 				break
 			}
 			rt.clusterWork[cl].v.Add(-1)

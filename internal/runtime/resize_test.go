@@ -106,11 +106,21 @@ func TestShrinkDrainsQueuedTasks(t *testing.T) {
 
 	// Block both workers on gates so the queue placement below is fully
 	// deterministic: neither worker can acquire anything until released.
+	// A gate task first spawns as many children as fill[its worker] asks:
+	// a worker's pools take pushes from their owner only.
+	const children = 50
+	var ran atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan int, 2)
+	filled := make(chan struct{}, 2)
+	fill := []chan int{make(chan int, 1), make(chan int, 1)}
 	for i := 0; i < 2; i++ {
 		rt.Spawn("gate", func(ctx *Ctx) {
 			started <- ctx.Worker
+			for n := <-fill[ctx.Worker]; n > 0; n-- {
+				ctx.Spawn("child", func(ctx *Ctx) { ran.Add(1) })
+			}
+			filled <- struct{}{}
 			<-gate
 		})
 	}
@@ -127,24 +137,27 @@ func TestShrinkDrainsQueuedTasks(t *testing.T) {
 		t.Fatalf("gates did not land on two distinct workers: %v", ids)
 	}
 
-	// Queue children directly into the future victim's own pools (the
-	// shrink below retires the highest-id worker of the group). Mutex
-	// pools tolerate the non-owner push; the victim is gated, so nothing
-	// can run them yet.
+	// The future victim's gate task queues the children in its own pools
+	// (the shrink below retires the highest-id worker of the group); both
+	// workers are gated, so nothing can run them yet.
 	var victim *worker
 	for _, w := range rt.table.Load().ws {
 		if victim == nil || w.id > victim.id {
 			victim = w
 		}
 	}
-	const children = 50
-	var ran atomic.Int64
-	for i := 0; i < children; i++ {
-		rt.spawnTask(victim, "", &liveTask{class: "child", fn: func(ctx *Ctx) { ran.Add(1) }})
+	for id := range fill {
+		if id == victim.id {
+			fill[id] <- children
+		} else {
+			fill[id] <- 0
+		}
 	}
+	<-filled
+	<-filled
 	depth := 0
 	for _, p := range victim.pools {
-		depth += p.size()
+		depth += p.Len()
 	}
 	if depth != children {
 		t.Fatalf("victim pools hold %d tasks, want %d", depth, children)

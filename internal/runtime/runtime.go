@@ -31,8 +31,8 @@
 // shard) and retires them (the retiring worker drains its deques back
 // into the shared inbox and folds its counters into a retired aggregate —
 // no completion is ever lost or double-counted). External spawns always
-// go through the inbox in every mode, so no queued task can strand on a
-// worker that is about to leave.
+// go through the inbox, so no queued task can strand on a worker that is
+// about to leave.
 //
 // Shutdown semantics: Runtime.Spawn returns ErrShutdown once Shutdown has
 // begun and the task is dropped. Ctx.Spawn (and Group.Spawn) report
@@ -98,10 +98,7 @@ type Config struct {
 	// DisableSpeedEmulation turns off the slowdown stalls (useful when
 	// the runtime is used as a plain work-stealing pool).
 	DisableSpeedEmulation bool
-	// LockFree switches the per-worker pools from mutex-guarded deques to
-	// lock-free Chase-Lev deques. Worker-local spawns then push without
-	// synchronization; external Spawn calls are routed through a small
-	// locked inbox (Chase-Lev requires owner-only pushes).
+	// Deprecated: ignored; the worker pools are always Chase-Lev deques.
 	LockFree bool
 	// Obs, when non-nil, receives scheduler events (spawn, pop, steal
 	// attempt/success, complete, repartition, resize) and feeds the
@@ -353,7 +350,9 @@ type worker struct {
 	rel  float64 // emulated relative speed Fi/F1
 	freq float64 // c-group frequency, for the energy model
 
-	pools []taskPool
+	// pools[c] is the worker's cluster-c task pool: a lock-free Chase-Lev
+	// deque, so only this worker pushes and pops; thieves steal the top.
+	pools []*deque.ChaseLev[liveTask]
 	// order is the worker's acquisition walk (strat.AcquireOrder of its
 	// c-group), cached so the walk costs no interface call per acquire.
 	order []int
@@ -440,28 +439,11 @@ func (rt *Runtime) flush(w *worker) {
 	}
 }
 
-// taskPool abstracts a worker's per-cluster task pool: a mutex-guarded
-// deque by default, a lock-free Chase-Lev deque with Config.LockFree.
-type taskPool interface {
-	// push appends at the owner end. For the lock-free pool only the
-	// owning worker may call it.
-	push(t *liveTask)
-	// popBottom removes the owner-end task (owner only in lock-free mode).
-	popBottom() *liveTask
-	// stealTop removes the thief-end task (any goroutine).
-	stealTop() *liveTask
-	// empty reports (racily, in lock-free mode) whether the pool is empty.
-	empty() bool
-	// size reports (racily, in lock-free mode) the current depth; used by
-	// tracing and introspection only.
-	size() int
-}
-
-// pool is a mutex-guarded deque (the paper's task pools lock only for
-// steals; a single mutex keeps this implementation obviously correct).
-// depth mirrors the deque length so take-side probes — the acquisition
-// walk visits every victim pool, nearly all of them empty — gate on one
-// atomic load instead of the mutex.
+// pool is the shared inbox: a mutex-guarded deque that any goroutine may
+// push to, unlike the owner-only worker pools. depth mirrors the deque
+// length so take-side probes — every acquisition walk starts here, and
+// the inbox is nearly always empty — gate on one atomic load instead of
+// the mutex.
 type pool struct {
 	depth atomic.Int64
 	mu    sync.Mutex
@@ -473,22 +455,6 @@ func (p *pool) push(t *liveTask) {
 	p.d.PushBottom(t)
 	p.depth.Add(1)
 	p.mu.Unlock()
-}
-
-func (p *pool) popBottom() *liveTask {
-	if p.depth.Load() == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	t, ok := p.d.PopBottom()
-	if ok {
-		p.depth.Add(-1)
-	}
-	p.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return t
 }
 
 func (p *pool) stealTop() *liveTask {
@@ -510,35 +476,6 @@ func (p *pool) stealTop() *liveTask {
 func (p *pool) empty() bool { return p.depth.Load() == 0 }
 
 func (p *pool) size() int { return int(p.depth.Load()) }
-
-// clPool adapts the lock-free Chase-Lev deque to the taskPool interface.
-type clPool struct {
-	d *deque.ChaseLevPtr[liveTask]
-}
-
-func newCLPool() *clPool { return &clPool{d: deque.NewChaseLevPtr[liveTask](32)} }
-
-func (p *clPool) push(t *liveTask) { p.d.PushBottom(t) }
-
-func (p *clPool) popBottom() *liveTask {
-	t, ok := p.d.PopBottom()
-	if !ok {
-		return nil
-	}
-	return t
-}
-
-func (p *clPool) stealTop() *liveTask {
-	t, ok := p.d.Steal()
-	if !ok {
-		return nil
-	}
-	return t
-}
-
-func (p *clPool) empty() bool { return p.d.Empty() }
-
-func (p *clPool) size() int { return p.d.Len() }
 
 // WorkerStats reports one worker's counters.
 type WorkerStats struct {
@@ -605,13 +542,13 @@ type Runtime struct {
 	retired  retiredAgg
 	energy   counters.EnergyModel
 
-	// inbox receives every external (non-worker) spawn — in all modes —
-	// and every spawn under central-queue policies (Share). Routing
-	// external work through the inbox (rather than some worker's pools)
-	// is what makes retirement race-free: a retiring worker's pools only
-	// ever receive pushes from the retiring worker itself, so its final
-	// drain leaves nothing behind. The depth gate keeps the acquisition
-	// walk off the inbox lock while it is empty.
+	// inbox receives every external (non-worker) spawn and every spawn
+	// under central-queue policies (Share). Routing external work through
+	// the inbox (rather than some worker's pools) is what makes retirement
+	// race-free: a retiring worker's pools only ever receive pushes from
+	// the retiring worker itself, so its final drain leaves nothing behind.
+	// The depth gate keeps the acquisition walk off the inbox lock while
+	// it is empty.
 	inbox *pool
 	// clusterWork[cl] counts tasks queued in cluster cl across all worker
 	// pools (never the inbox). The acquisition walk and the park-readiness
@@ -758,13 +695,9 @@ func (rt *Runtime) newWorker(id, grp int) *worker {
 		helpRng: rng.New(rt.cfg.Seed ^ 0xABCD + uint64(id)*7919 + 3),
 		gone:    make(chan struct{}),
 	}
-	w.pools = make([]taskPool, rt.k)
+	w.pools = make([]*deque.ChaseLev[liveTask], rt.k)
 	for c := range w.pools {
-		if rt.cfg.LockFree {
-			w.pools[c] = newCLPool()
-		} else {
-			w.pools[c] = &pool{}
-		}
+		w.pools[c] = deque.NewChaseLev[liveTask](32)
 	}
 	w.pk.ch = make(chan struct{}, 1)
 	w.ctx = &Ctx{rt: rt, w: w, Worker: id, Rel: w.rel}
@@ -799,7 +732,7 @@ var ErrShutdown = errors.New("runtime: Spawn after Shutdown")
 // Spawn submits a root task through the shared inbox, from which the next
 // idle worker — fastest first in practice, since fast workers drain their
 // queues soonest — picks it up. External spawns never target a specific
-// worker's pools: workers own their push ends (lock-free mode) and may
+// worker's pools: workers own their push ends (Chase-Lev) and may
 // retire at any time (elastic mode), so the inbox is the only safe
 // mailbox. After Shutdown it drops the task and returns ErrShutdown.
 func (rt *Runtime) Spawn(class string, fn func(ctx *Ctx)) error {
@@ -922,12 +855,12 @@ func (rt *Runtime) spawnTask(w *worker, parentClass string, t *liveTask) {
 		cl := rt.clusterOf(class)
 		p := w.pools[cl]
 		if rt.obs != nil && rt.obs.LedgerOn() {
-			rt.recordDecision(t, w.id, p.size()+1)
+			rt.recordDecision(t, w.id, p.Len()+1)
 		}
-		p.push(t)
+		p.PushBottom(t)
 		queued := rt.clusterWork[cl].v.Add(1)
 		if rt.obs != nil {
-			rt.obs.Spawn(w.id, cl, class, p.size())
+			rt.obs.Spawn(w.id, cl, class, p.Len())
 		}
 		rt.wakeOne(cl)
 		if queued >= rt.maxQueued {
@@ -1016,7 +949,7 @@ func (rt *Runtime) acquire(w *worker, r *rng.Source) *liveTask {
 		if rt.clusterWork[cl].v.Load() == 0 {
 			continue
 		}
-		if t := w.pools[cl].popBottom(); t != nil {
+		if t, ok := w.pools[cl].PopBottom(); ok {
 			rt.clusterWork[cl].v.Add(-1)
 			if rt.obs != nil {
 				rt.obs.Pop(w.id, cl, t.class)
@@ -1035,7 +968,7 @@ func (rt *Runtime) acquire(w *worker, r *rng.Source) *liveTask {
 				continue
 			}
 			probes++
-			if t := v.pools[cl].stealTop(); t != nil {
+			if t, ok := v.pools[cl].Steal(); ok {
 				rt.clusterWork[cl].v.Add(-1)
 				w.steals.Add(1)
 				w.stealAttempts.Add(probes)
@@ -1303,7 +1236,7 @@ func (rt *Runtime) nonEmptyPools() int {
 	}
 	for _, w := range rt.table.Load().all {
 		for _, p := range w.pools {
-			if !p.empty() {
+			if !p.Empty() {
 				n++
 			}
 		}

@@ -84,7 +84,7 @@ func (rt *Runtime) Snapshot() Snapshot {
 		s.Stats = append(s.Stats, rt.statsOf(w, !active[w]))
 		depths := make([]int, len(w.pools))
 		for c, p := range w.pools {
-			depths[c] = p.size()
+			depths[c] = p.Len()
 		}
 		s.DequeDepths = append(s.DequeDepths, depths)
 	}

@@ -121,8 +121,10 @@ func TestWATSEqualsPFTOnSymmetric(t *testing.T) {
 func TestWATSNPNeverCrossesClusters(t *testing.T) {
 	// Single-class workload: with every task in cluster 0, WATS-NP must
 	// leave every non-fastest c-group idle.
-	w := workload.Uniform(64, 3, 0.02, 13)
-	res, err := sim.New(amc.AMC5, MustNew(KindWATSNP), sim.Config{Seed: 13, CollectTasks: true}).Run(w)
+	uniform := func() *workload.Batch {
+		return &workload.Batch{BenchName: "Uniform", Mix: []workload.ClassSpec{{Name: "uni", Count: 64, Work: 0.02}}, Batches: 3, Seed: 13}
+	}
+	res, err := sim.New(amc.AMC5, MustNew(KindWATSNP), sim.Config{Seed: 13, CollectTasks: true}).Run(uniform())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestWATSNPNeverCrossesClusters(t *testing.T) {
 		}
 	}
 	// Full WATS does use the slow cores via preference stealing.
-	res2, err := sim.New(amc.AMC5, MustNew(KindWATS), sim.Config{Seed: 13}).Run(workload.Uniform(64, 3, 0.02, 13))
+	res2, err := sim.New(amc.AMC5, MustNew(KindWATS), sim.Config{Seed: 13}).Run(uniform())
 	if err != nil {
 		t.Fatal(err)
 	}

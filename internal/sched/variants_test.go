@@ -6,19 +6,64 @@ import (
 	"wats/internal/amc"
 	"wats/internal/sim"
 	"wats/internal/stats"
+	"wats/internal/task"
 	"wats/internal/workload"
 )
+
+// divideConquer is a recursive divide-and-conquer workload (the paper's
+// §IV-E limitation: programs like nqueens where every task runs the same
+// function, so the history finds a single class that cannot be spread
+// across c-groups). Each node spawns two children of half depth; leaves
+// carry the work.
+type divideConquer struct {
+	Depth              int     // of the binary spawn tree: 2^Depth leaves
+	LeafWork, NodeWork float64 // fastest-core seconds of a leaf, of a node
+}
+
+func (w *divideConquer) Name() string { return "DnC" }
+
+func (w *divideConquer) build(depth int) *task.Task {
+	if depth == 0 {
+		return task.New("dnc", w.LeafWork)
+	}
+	node := task.New("dnc", w.NodeWork)
+	mid := node.Work / 2
+	node.Spawns = []task.Spawn{
+		{At: mid, Child: w.build(depth - 1)},
+		{At: mid, Child: w.build(depth - 1)},
+	}
+	return node
+}
+
+func (w *divideConquer) Start(e *sim.Engine) { e.Inject(w.build(w.Depth)) }
+
+func (w *divideConquer) OnQuiescent(e *sim.Engine) bool { return false }
+
+func TestDivideConquer(t *testing.T) {
+	w := &divideConquer{Depth: 5, LeafWork: 0.005, NodeWork: 0.001}
+	res, err := sim.New(amc.AMC2, MustNew(KindPFT), sim.Config{Seed: 1}).Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1<<6 - 1 // full binary tree of depth 5
+	if res.TasksDone != want {
+		t.Fatalf("TasksDone=%d want %d", res.TasksDone, want)
+	}
+	if len(res.Truth) != 1 {
+		t.Fatalf("divide-and-conquer should have one class, got %d", len(res.Truth))
+	}
+}
 
 // TestDnCFallback: the §IV-E divide-and-conquer detection — a recursive
 // spawn tree triggers the fallback, the run completes, and behaviour
 // matches plain random stealing.
 func TestDnCFallback(t *testing.T) {
-	mkDnC := func(seed uint64) *workload.DivideConquer {
-		return &workload.DivideConquer{Depth: 7, LeafWork: 0.004, NodeWork: 0.001, Seed: seed}
+	mkDnC := func() *divideConquer {
+		return &divideConquer{Depth: 7, LeafWork: 0.004, NodeWork: 0.001}
 	}
 	p := NewWATS()
 	p.DetectRecursion = true
-	res, err := sim.New(amc.AMC5, p, sim.Config{Seed: 2}).Run(mkDnC(2))
+	res, err := sim.New(amc.AMC5, p, sim.Config{Seed: 2}).Run(mkDnC())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +74,7 @@ func TestDnCFallback(t *testing.T) {
 		t.Fatalf("TasksDone=%d", res.TasksDone)
 	}
 	// The fallback must track PFT closely (same discipline, flat pools).
-	pftRes, err := sim.New(amc.AMC5, MustNew(KindPFT), sim.Config{Seed: 2}).Run(mkDnC(2))
+	pftRes, err := sim.New(amc.AMC5, MustNew(KindPFT), sim.Config{Seed: 2}).Run(mkDnC())
 	if err != nil {
 		t.Fatal(err)
 	}

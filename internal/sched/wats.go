@@ -41,8 +41,8 @@ type WATS struct {
 	//-corruption ablation; the real WATS always uses parent-first).
 	ChildFirstSpawn bool
 	// LiteralPartition uses the verbatim Algorithm 1 greedy instead of
-	// the default deviation-minimizing cut rule (partition-rule ablation;
-	// see history.Partition vs history.PartitionBalanced).
+	// the default anchored cut rule (partition-rule ablation; see
+	// history.Partition vs history.PartitionAnchored).
 	LiteralPartition bool
 	// ReorgEveryCompletion rebuilds clusters on every task completion in
 	// addition to helper ticks (the paper reorganizes "once a task is

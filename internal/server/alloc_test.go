@@ -18,7 +18,6 @@ func newAllocEnv(tb testing.TB) *Server {
 	rt, err := runtime.New(runtime.Config{
 		Arch:                  amc.MustNew("test", amc.CGroup{Freq: 2.0, N: 4}),
 		DisableSpeedEmulation: true,
-		LockFree:              true,
 		Seed:                  7,
 	})
 	if err != nil {

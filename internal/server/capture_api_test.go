@@ -22,7 +22,6 @@ func newObsEnv(t *testing.T) *testEnv {
 	rt, err := runtime.New(runtime.Config{
 		Arch:                  arch,
 		DisableSpeedEmulation: true,
-		LockFree:              true,
 		Seed:                  7,
 		Obs:                   obs.NewTracer(arch.NumCores(), 0),
 	})

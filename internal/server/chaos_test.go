@@ -25,7 +25,6 @@ func newChaosEnv(t *testing.T, rtMutate func(*runtime.Config), mutate func(*Conf
 	rcfg := runtime.Config{
 		Arch:                  amc.MustNew("chaos", amc.CGroup{Freq: 2.0, N: 4}),
 		DisableSpeedEmulation: true,
-		LockFree:              true,
 		Seed:                  7,
 	}
 	if rtMutate != nil {

@@ -20,7 +20,6 @@ func newAsymEnv(t *testing.T) *testEnv {
 			amc.CGroup{Freq: 2, N: 1}, amc.CGroup{Freq: 1, N: 1}),
 		Policy:                "WATS",
 		DisableSpeedEmulation: true,
-		LockFree:              true,
 		Seed:                  7,
 	})
 	if err != nil {

@@ -29,7 +29,6 @@ func newEnv(t *testing.T, mutate func(*Config)) *testEnv {
 	rt, err := runtime.New(runtime.Config{
 		Arch:                  amc.MustNew("test", amc.CGroup{Freq: 2.0, N: 4}),
 		DisableSpeedEmulation: true,
-		LockFree:              true,
 		Seed:                  7,
 	})
 	if err != nil {

@@ -38,16 +38,6 @@ func Variance(xs []float64) float64 {
 // Stddev returns the sample standard deviation of xs.
 func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// CV returns the coefficient of variation (stddev/mean), or 0 if the mean
-// is zero.
-func CV(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 {
-		return 0
-	}
-	return Stddev(xs) / m
-}
-
 // Min returns the minimum of xs (+Inf for an empty slice).
 func Min(xs []float64) float64 {
 	m := math.Inf(1)

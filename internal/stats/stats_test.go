@@ -41,15 +41,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCV(t *testing.T) {
-	if CV([]float64{2, 2, 2}) != 0 {
-		t.Fatal("constant CV nonzero")
-	}
-	if CV([]float64{0, 0}) != 0 {
-		t.Fatal("zero-mean CV should be 0")
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := map[float64]float64{0: 1, 0.25: 2, 0.5: 3, 0.75: 4, 1: 5}

@@ -161,6 +161,7 @@ func (w *Batch) buildBatch(batch int) *task.Task {
 	}
 	w.r.Shuffle(n, func(i, j int) { spawns[i], spawns[j] = spawns[j], spawns[i] })
 	switch w.Order {
+	case OrderShuffled: // the shuffle above is the order
 	case OrderLightFirst:
 		slices.SortStableFunc(spawns, func(a, b task.Spawn) int { return cmp.Compare(a.Child.Work, b.Child.Work) })
 	case OrderHeavyFirst:

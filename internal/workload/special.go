@@ -1,75 +1,5 @@
 package workload
 
-import (
-	"wats/internal/rng"
-	"wats/internal/sim"
-	"wats/internal/task"
-)
-
-// DivideConquer is a recursive divide-and-conquer workload (the paper's
-// §IV-E limitation: programs like nqueens where every task runs the same
-// function, so the history finds a single class that cannot be spread
-// across c-groups). Each node spawns two children of half depth; leaves
-// carry the work.
-type DivideConquer struct {
-	// Depth of the binary spawn tree; 2^Depth leaves.
-	Depth int
-	// LeafWork is each leaf's work in fastest-core seconds.
-	LeafWork float64
-	// NodeWork is the internal nodes' own (split/merge) work.
-	NodeWork float64
-	// Noise is the per-task CV.
-	Noise float64
-	// Seed seeds the generator.
-	Seed uint64
-
-	r *rng.Source
-}
-
-// Name implements sim.Workload.
-func (w *DivideConquer) Name() string { return "DnC" }
-
-func (w *DivideConquer) jitter() float64 {
-	if w.Noise <= 0 {
-		return 1
-	}
-	f := 1 + w.Noise*w.r.NormFloat64()
-	if f < 0.05 {
-		f = 0.05
-	}
-	return f
-}
-
-func (w *DivideConquer) build(depth int) *task.Task {
-	if depth == 0 {
-		return task.New("dnc", w.LeafWork*w.jitter())
-	}
-	node := task.New("dnc", w.NodeWork*w.jitter())
-	mid := node.Work / 2
-	node.Spawns = []task.Spawn{
-		{At: mid, Child: w.build(depth - 1)},
-		{At: mid, Child: w.build(depth - 1)},
-	}
-	return node
-}
-
-// Start implements sim.Workload.
-func (w *DivideConquer) Start(e *sim.Engine) {
-	if w.r == nil {
-		w.r = rng.New(w.Seed ^ 0xA24BAED4963EE407)
-	}
-	if w.LeafWork == 0 {
-		w.LeafWork = BaseT
-	}
-	if w.NodeWork == 0 {
-		w.NodeWork = BaseT / 10
-	}
-	e.Inject(w.build(w.Depth))
-}
-
-// OnQuiescent implements sim.Workload.
-func (w *DivideConquer) OnQuiescent(e *sim.Engine) bool { return false }
-
 // PhaseChange returns a GA-like batch workload whose class workloads swap
 // abruptly halfway through the run: the classes that were heavy become
 // light and vice versa. It exercises the "timely update" property of
@@ -101,18 +31,6 @@ func PhaseChange(batches int, seed uint64) *Batch {
 	return w
 }
 
-// Uniform returns a batch workload where every task has the same class and
-// workload — the degenerate case where history-based allocation has
-// nothing to exploit and WATS should match PFT up to bookkeeping overhead.
-func Uniform(tasks, batches int, work float64, seed uint64) *Batch {
-	return &Batch{
-		BenchName: "Uniform",
-		Mix:       []ClassSpec{{Name: "uni", Count: tasks, Work: work}},
-		Batches:   batches,
-		Seed:      seed,
-	}
-}
-
 // MixedMemory returns the §IV-E scenario: a batch mixing CPU-bound
 // classes (which gain the full speedup on fast cores) with memory-bound
 // classes (whose time is dominated by stalls and barely improves on fast
@@ -127,19 +45,4 @@ func MixedMemory(seed uint64) *Batch {
 		{Name: "mem_scan", Count: 32, Work: 3 * t, MemFrac: 0.85, CMPI: 0.2},
 		{Name: "mem_chase", Count: 32, Work: 2 * t, MemFrac: 0.9, CMPI: 0.3},
 	}}
-}
-
-// TwoClass returns the minimal workload that distinguishes workload-aware
-// from random scheduling: a few huge tasks and many tiny ones, as in the
-// motivating example of §II-A.
-func TwoClass(big, small int, bigWork, smallWork float64, batches int, seed uint64) *Batch {
-	return &Batch{
-		BenchName: "TwoClass",
-		Mix: []ClassSpec{
-			{Name: "big", Count: big, Work: bigWork},
-			{Name: "small", Count: small, Work: smallWork},
-		},
-		Batches: batches,
-		Seed:    seed,
-	}
 }

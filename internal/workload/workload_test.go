@@ -201,18 +201,6 @@ func TestPipelineStagesChainInOrder(t *testing.T) {
 	}
 }
 
-func TestDivideConquer(t *testing.T) {
-	w := &DivideConquer{Depth: 5, LeafWork: 0.005, NodeWork: 0.001, Seed: 6}
-	res := runWorkload(t, w)
-	want := 1<<6 - 1 // full binary tree of depth 5
-	if res.TasksDone != want {
-		t.Fatalf("TasksDone=%d want %d", res.TasksDone, want)
-	}
-	if len(res.Truth) != 1 {
-		t.Fatalf("divide-and-conquer should have one class, got %d", len(res.Truth))
-	}
-}
-
 func TestPhaseChangeFlipsMix(t *testing.T) {
 	w := PhaseChange(4, 7)
 	res := runWorkload(t, w)
@@ -224,19 +212,6 @@ func TestPhaseChangeFlipsMix(t *testing.T) {
 	a := res.Truth["ph_a"]
 	if a.TrueMean < 0.011 || a.TrueMean > 0.079 {
 		t.Fatalf("ph_a mean %v does not reflect a phase flip", a.TrueMean)
-	}
-}
-
-func TestUniformAndTwoClass(t *testing.T) {
-	u := Uniform(32, 2, 0.01, 8)
-	res := runWorkload(t, u)
-	if res.TasksDone != 2*33 {
-		t.Fatalf("uniform TasksDone=%d", res.TasksDone)
-	}
-	tc := TwoClass(2, 30, 0.08, 0.01, 2, 9)
-	res2 := runWorkload(t, tc)
-	if res2.Truth["big"].Count != 4 || res2.Truth["small"].Count != 60 {
-		t.Fatalf("two-class counts: %+v", res2.Truth)
 	}
 }
 
