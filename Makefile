@@ -51,12 +51,14 @@ bench-sim:
 # and LZW round trips, SHA-1 + MD5), allocations included, cycling
 # through 32 seeds' inputs as a job does: the repository benchmark's
 # kernels.*_4k_ns repeat one input, which trains the caches and branch
-# predictor and reads faster. BenchmarkInput4K times a child's input
+# predictor and reads faster. BenchmarkBWT4K times BWT alone on the same
+# inputs (the key sort), BenchmarkBWTWorstCase on two 64 KiB blocks it
+# leaves to SA-IS. BenchmarkInput4K times a child's input
 # synthesis, and BenchmarkKernelCosts one task of every kernel family at
 # the sizes the simulator's task-class mixes were calibrated against;
 # TestMixChildAllocCeilings fails the build if the mix allocations grow.
 bench-kernels:
-	$(GO) test -run xxx -bench 'Bzip2Like4K|LZW4K|Digest4K|Input4K|KernelCosts' -benchmem -count=5 ./internal/kernels/
+	$(GO) test -run xxx -bench 'Bzip2Like4K|BWT4K|BWTWorstCase|LZW4K|Digest4K|Input4K|KernelCosts' -benchmem -count=5 ./internal/kernels/
 
 # bench-serve is the serving-path allocation gate (DESIGN.md §12, §13):
 # the TestZeroAlloc* tests fail the build if a steady-state unary or batch

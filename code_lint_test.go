@@ -18,7 +18,7 @@ import (
 // The ceilings TestLineBudget holds the module to. A change that grows
 // past one raises it in its own diff, so the growth shows there.
 const (
-	maxGoLines     = 26350  // non-test Go lines, counted as `make loc` counts .
+	maxGoLines     = 26480  // non-test Go lines, counted as `make loc` counts .
 	maxDesignBytes = 104449 // DESIGN.md
 )
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -93,5 +94,52 @@ func TestGateBodyHandling(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(answer), "too large") || got.Load() != "" {
 			t.Errorf("%s: HTTP %d %s, backend saw %d bytes — want 413 and nothing forwarded", row.name, resp.StatusCode, answer, len(got.Load().(string)))
 		}
+	}
+}
+
+// A backend's poll answers are read through the same MaxBody bound as a
+// job's: a /v1/stats body past it fails to decode, and the gate keeps
+// the snapshot it polled before instead of buffering the whole body.
+func TestPollBodyBounded(t *testing.T) {
+	var oversized atomic.Bool
+	var bigServed atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("/v1/readyz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("/v1/workloads", func(w http.ResponseWriter, r *http.Request) { w.Write([]byte(`[]`)) })
+	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
+		if !oversized.Load() {
+			w.Write([]byte(`{"workers":4,"queued":7,"inflight":0}`))
+			return
+		}
+		w.Write([]byte(`{"workers":9,"queued":99,"inflight":0,"pad":"` + strings.Repeat("x", wire.MaxBody) + `"}`))
+		bigServed.Add(1)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	g, _ := newGateTS(t, Config{Backends: []BackendConf{{Name: "a", URL: ts.URL}}})
+	b := g.backends[0]
+	snapshot := func() *polled {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.polled
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for p := snapshot(); p == nil || p.Workers != 4; p = snapshot() {
+		if time.Now().After(deadline) {
+			t.Fatal("the first /v1/stats poll never landed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	oversized.Store(true)
+	// A backend's polls run one after another, so once the second
+	// oversized body is served the first one's decode has finished.
+	for bigServed.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the gate stopped polling /v1/stats")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if p := snapshot(); p.Workers != 4 || p.Queued != 7 {
+		t.Fatalf("polled snapshot after an oversized body = %+v, want the previous workers 4, queued 7", *p)
 	}
 }

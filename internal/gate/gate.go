@@ -34,6 +34,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"regexp"
@@ -44,6 +45,7 @@ import (
 	"wats/internal/client"
 	"wats/internal/obs"
 	"wats/internal/rng"
+	"wats/internal/wire"
 )
 
 // BackendConf names one watsd node.
@@ -453,7 +455,7 @@ func (g *Gate) pollOnce(b *backend) {
 	}
 	if resp, err := g.pollHC.Get(b.url + "/v1/stats"); err == nil {
 		var p polled
-		if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&p) == nil {
+		if resp.StatusCode == http.StatusOK && json.NewDecoder(io.LimitReader(resp.Body, wire.MaxBody)).Decode(&p) == nil {
 			b.mu.Lock()
 			b.polled = &p
 			b.mu.Unlock()
@@ -466,7 +468,7 @@ func (g *Gate) pollOnce(b *backend) {
 				Name  string `json:"name"`
 				Class string `json:"class"`
 			}
-			if resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&ws) == nil && len(ws) > 0 {
+			if resp.StatusCode == http.StatusOK && json.NewDecoder(io.LimitReader(resp.Body, wire.MaxBody)).Decode(&ws) == nil && len(ws) > 0 {
 				m := make(map[string]string, len(ws))
 				for _, w := range ws {
 					m[w.Name] = w.Class

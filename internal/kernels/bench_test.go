@@ -40,6 +40,42 @@ func BenchmarkLZW4K(b *testing.B) {
 	}
 }
 
+// BenchmarkBWT4K times BWT alone on the bzip2 child's Text inputs and on
+// Bytes, both of which the key sort handles.
+func BenchmarkBWT4K(b *testing.B) {
+	data, text := mixInputs()
+	for _, c := range []struct {
+		name string
+		ins  [][]byte
+	}{{"Text", text}, {"Bytes", data}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := range b.N {
+				_, primary := BWT(c.ins[i%len(c.ins)])
+				costSink += primary
+			}
+		})
+	}
+}
+
+// BenchmarkBWTWorstCase times BWT on two 64 KiB blocks the key sort
+// gives up on before it sorts, leaving them to SA-IS: the check should
+// cost next to nothing beside it.
+func BenchmarkBWTWorstCase(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{{"allAThenB", allAThenB(64 << 10)}, {"fibonacciWord", fibonacciWord(64 << 10)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				_, primary := BWT(c.in)
+				costSink += primary
+			}
+		})
+	}
+}
+
 // digestSink keeps the compiler from dropping the digests' calls.
 var digestSink byte
 

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -15,40 +16,33 @@ import (
 // UnBWT starts from. When data is a block repeated k times, rows come in
 // k equal copies and primary is the first copy of rotation 0.
 //
-// It runs in O(n): rotations of a Lyndon word (a string strictly smaller
-// than all its rotations) sort as its suffixes do, so the rotations of
-// data's primitive block sort as the suffixes, found by SA-IS, of that
-// block's smallest rotation.
+// The rotations of data's primitive block, all distinct, are sorted by
+// packed prefix keys, or by SA-IS in O(n) where that would be slow: a
+// Lyndon word's rotations sort as its suffixes do.
 func BWT(data []byte) (out []byte, primary int) { return bwt(nil, data) }
 
 // bwt is BWT writing its output into dst, grown to len(data).
 func bwt(dst, data []byte) (out []byte, primary int) {
-	n := len(data)
-	if n == 0 {
+	if len(data) == 0 {
 		return dst[:0], 0
 	}
-	p := n // length of the primitive block: the shortest period dividing n
-	for d := 1; d*d <= n; d++ {
-		for _, q := range [2]int{d, n / d} {
-			if n%d == 0 && q < p && bytes.Equal(data[q:], data[:n-q]) {
-				p = q
-			}
-		}
-	}
-	k := leastRotation(data[:p])
+	p := primitive(data)
 	sc := saisPool.Get().(*saisScratch)
 	defer saisPool.Put(sc)
-	sc.s = grow(sc.s, p+1) // the Lyndon word, shifted past the 0 sentinel
-	for i, b := range data[k:p] {
-		sc.s[i] = int32(b) + 1
+	sc.reserve(p+1, 257) // SA-IS's working set, which keySort works in
+	rows, k := sc.keySort(data[:p]), 0
+	if rows == nil {
+		rows, k = sc.saisRotations(data[:p])
 	}
-	for i, b := range data[:k] {
-		sc.s[p-k+i] = int32(b) + 1
-	}
-	sc.s[p] = 0
-	reps := n / p
-	out = grow(dst, n)
-	for r, j := range sc.suffixArray(257)[1:] {
+	return emitRows(dst, data, p, rows, k)
+}
+
+// emitRows writes data's BWT into dst, grown to len(data), from its
+// primitive block data[:p]'s sorted rotations as starts less k, mod p.
+func emitRows(dst, data []byte, p int, rows []int32, k int) (out []byte, primary int) {
+	reps := len(data) / p
+	out = grow(dst, len(data))
+	for r, j := range rows {
 		start := int(j) + k // of this row's rotation in data
 		if start >= p {
 			start -= p
@@ -64,6 +58,133 @@ func bwt(dst, data []byte) (out []byte, primary int) {
 		}
 	}
 	return out, primary
+}
+
+// primitive returns the length of data's primitive block: its shortest
+// period that divides len(data).
+func primitive(data []byte) int {
+	n, p := len(data), len(data)
+	for d := 1; d*d <= n; d++ {
+		for _, q := range [2]int{d, n / d} {
+			if n%d == 0 && q < p && bytes.Equal(data[q:], data[:n-q]) {
+				p = q
+			}
+		}
+	}
+	return p
+}
+
+// saisRotations returns the sorted rotations of the primitive block b as
+// starts less k, mod len(b): the suffix array, by SA-IS, of the Lyndon
+// word b[k:]+b[:k].
+func (sc *saisScratch) saisRotations(b []byte) ([]int32, int) {
+	p, k := len(b), leastRotation(b)
+	sc.s = grow(sc.s, p+1) // the Lyndon word, shifted past the 0 sentinel
+	for i, c := range b[k:] {
+		sc.s[i] = int32(c) + 1
+	}
+	for i, c := range b[:k] {
+		sc.s[p-k+i] = int32(c) + 1
+	}
+	sc.s[p] = 0
+	return sc.suffixArray(257)[1:], k
+}
+
+// keySort gives up, leaving a block to SA-IS, if a bucket holds over
+// 1/maxBucketShare of the rotations (and over minBucketGiveUp, so small
+// blocks still sort by key), or once it spends over sortBudget moves per
+// rotation on the buckets or 1/refineShare key comparisons per rotation
+// on tied keys. Seeded Text and Bytes blocks of 4-64 KiB use at most
+// 1/66, 2.2 and 1/71.
+const (
+	maxBucketShare, minBucketGiveUp = 32, 16
+	sortBudget, refineShare         = 8, 8
+)
+
+// keySort returns the starts of the primitive block b's rotations in
+// sorted order, or nil if it gave up; sc holds SA-IS's working set for b.
+// Each of b's σ symbols is coded by its rank in w = bits.Len(σ-1) bits,
+// and a rotation's first q = 32/w symbols pack into its uint32 key.
+func (sc *saisScratch) keySort(b []byte) []int32 {
+	p := len(b)
+	var code [256]uint32
+	for _, c := range b {
+		code[c] = 1
+	}
+	sigma := uint32(0)
+	for c, seen := range code {
+		code[c], sigma = sigma, sigma+seen
+	}
+	w := max(bits.Len32(sigma-1), 1)
+	q, pad := 32/w, 32%w
+	keys := sc.s[:p]
+	var v uint32 // rotation i's key, right-aligned
+	for j := range q {
+		v = v<<w | code[b[j%p]]
+	}
+	for i, j := 0, q%p; i < p; i++ {
+		keys[i] = int32(v << pad)
+		v = v<<w | code[b[j]]
+		if j++; j == p {
+			j = 0
+		}
+	}
+	// The starts are counting-sorted on their keys' top bits, next to a
+	// copy of their keys, in at most p buckets that fit the buffer.
+	shift := 32 - min(bits.Len(uint(len(sc.buf)-2*p))-1, bits.Len(uint(p))-1, 32-pad)
+	order, sorted, bkt := sc.buf[:p], sc.buf[p:2*p], sc.buf[2*p:2*p+1<<(32-shift)]
+	clear(bkt)
+	for _, key := range keys {
+		bkt[uint32(key)>>shift]++
+	}
+	sum := int32(0)
+	for c, m := range bkt {
+		if m > minBucketGiveUp && int(m)*maxBucketShare > p {
+			return nil
+		}
+		bkt[c], sum = sum, sum+m
+	}
+	for i, key := range keys {
+		c := uint32(key) >> shift
+		order[bkt[c]], sorted[bkt[c]] = int32(i), key
+		bkt[c]++
+	}
+	// The buckets are in order, so one insertion sort over all of them
+	// finishes the sort on whole keys: no start leaves its bucket.
+	budget := sortBudget * p
+	for i := 1; i < p; i++ {
+		x, k, j := order[i], uint32(sorted[i]), i
+		for ; j > 0 && uint32(sorted[j-1]) > k; j-- {
+			order[j], sorted[j] = order[j-1], sorted[j-1]
+		}
+		order[j], sorted[j] = x, int32(k)
+		if budget -= i - j; budget < 0 {
+			return nil
+		}
+	}
+	// Rotations whose keys tie compare by the keys q, 2q, … symbols on.
+	// They are distinct, so they differ before the offset reaches p.
+	budget = p / refineShare
+	byLaterKeys := func(a, b int32) int {
+		for d := q; budget >= 0; d += q {
+			budget--
+			if c := cmp.Compare(uint32(keys[(int(a)+d)%p]), uint32(keys[(int(b)+d)%p])); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	for lo, hi := 0, 1; lo < p && budget >= 0; lo = hi {
+		for hi = lo + 1; hi < p && sorted[hi] == sorted[lo]; hi++ {
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], byLaterKeys)
+		}
+	}
+	if budget < 0 {
+		return nil
+	}
+	return order
 }
 
 // leastRotation returns the start of the smallest rotation of a primitive

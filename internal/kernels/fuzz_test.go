@@ -32,10 +32,19 @@ func naiveBWT(data []byte) (out []byte, primary int) {
 	return out, primary
 }
 
+// FuzzBWT covers both rotation sorts: the seeds of long runs and
+// Fibonacci-like words include blocks keySort leaves to SA-IS, the
+// seeded inputs ones it sorts.
 func FuzzBWT(f *testing.F) {
 	for _, s := range []string{"", "a", "banana", "abab", "aaaa", "mississippi", "abcabcabd"} {
 		f.Add([]byte(s))
 	}
+	for _, shape := range []func(int) []byte{allAThenB, fibonacciWord, thueMorse, abThenB} {
+		f.Add(shape(17))
+		f.Add(shape(64))
+	}
+	f.Add(NewInput(1).Text(64))
+	f.Add(NewInput(1).Bytes(64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 64 {
 			data = data[:64]

@@ -22,11 +22,18 @@ var saisPool = sync.Pool{New: func() any { return new(saisScratch) }}
 // level's string is at most half the one above, and so is its alphabet.
 func (sc *saisScratch) suffixArray(sigma int) []int32 {
 	n := len(sc.s)
-	sc.buf = grow(sc.buf, 2*n+max(sigma, n/2+1))
-	sc.isS = grow(sc.isS, n)
+	sc.reserve(n, sigma)
 	sa := sc.buf[:n]
 	sais(sc.s, sa, sigma, sc.isS, sc.buf[2*n:], sc.buf[n:2*n])
 	return sa
+}
+
+// reserve grows sc's buffers to what suffixArray needs for n symbols in
+// [0, sigma).
+func (sc *saisScratch) reserve(n, sigma int) {
+	sc.s = grow(sc.s, n)
+	sc.buf = grow(sc.buf, 2*n+max(sigma, n/2+1))
+	sc.isS = grow(sc.isS, n)
 }
 
 // sais writes the suffix array of s into sa. isS and bkt are scratch that
