@@ -64,11 +64,12 @@ bench-kernels:
 # the TestZeroAlloc* tests fail the build if a steady-state unary or batch
 # admission allocates at all, TestUnaryHopAllocBudget if one whole unary
 # job, direct or via the gate, allocates more than its ceiling, and the
-# benchmarks print the ns/op + allocs/op table the design doc quotes.
+# benchmarks print the ns/op + allocs/op table the design doc quotes
+# (BenchmarkStreamClosedLoop: one stream, window 64, ns and allocs a job).
 bench-serve:
 	$(GO) test -run 'TestZeroAlloc' -count=1 -v ./internal/server/
 	$(GO) test -run 'TestUnaryHopAllocBudget' -count=1 -v ./internal/gate/
-	$(GO) test -run xxx -bench 'BenchmarkUnaryAdmission|BenchmarkBatchAdmission16' -benchmem ./internal/server/
+	$(GO) test -run xxx -bench 'BenchmarkUnaryAdmission|BenchmarkBatchAdmission16|BenchmarkStreamClosedLoop' -benchmem ./internal/server/
 
 # bench-stack is the repository benchmark (BENCHMARK.json, bench/README.md):
 # six workloads from the whole stack down to the simulator, end-to-end

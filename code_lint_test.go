@@ -18,8 +18,8 @@ import (
 // The ceilings TestLineBudget holds the module to. A change that grows
 // past one raises it in its own diff, so the growth shows there.
 const (
-	maxGoLines     = 26480  // non-test Go lines, counted as `make loc` counts .
-	maxDesignBytes = 104449 // DESIGN.md
+	maxGoLines     = 26549  // non-test Go lines, counted as `make loc` counts .
+	maxDesignBytes = 101582 // DESIGN.md
 )
 
 // TestLineBudget is the line ratchet: the module's non-test Go lines and

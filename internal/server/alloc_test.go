@@ -81,9 +81,10 @@ func TestZeroAllocUnaryAdmission(t *testing.T) {
 }
 
 // TestZeroAllocUnaryAdmissionWithDeadline adds the deadline wheel to the
-// path: arming an entry on the shared heap must not allocate either (the
-// heap is pre-sized and the wheel goroutine is already running from the
-// warmup's entries, which expire long after the measurement ends).
+// path: arming an entry on the shared heap and dropping it when the job
+// finishes must not allocate either (the heap is pre-sized, and the
+// wheel goroutine started by the warmup's first entry sleeps until that
+// entry's deadline, long after the measurement ends).
 func TestZeroAllocUnaryAdmissionWithDeadline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")

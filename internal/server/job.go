@@ -19,9 +19,9 @@
 // with them (DESIGN.md §12 has the full ownership table).
 //
 // Deadlines are tracked by a single wheel goroutine over a min-heap
-// instead of a per-job timer + watcher goroutine. Each armed entry
-// carries the record's generation number; a record recycled and reused
-// before its old deadline fires makes the stale entry a no-op.
+// instead of a per-job timer + watcher goroutine; a job's entry leaves
+// the heap when it finalizes. Entries carry the record's generation, so
+// one popped as its record was recycled and reused is a no-op.
 package server
 
 import (
@@ -183,6 +183,8 @@ type jobRec struct {
 	releaseFn func()
 
 	buf []byte // response encoding scratch, retained across generations
+
+	wheelIdx int // heap index of this generation's deadline entry, -1 if none; guarded by srv.wheel.mu
 }
 
 // streamOut is one entry on a stream connection's writer queue: either
@@ -198,7 +200,7 @@ type streamOut struct {
 // records come from Server.newRec; async records are built here
 // directly since they are owned by the jobs map and never recycled.
 func (s *Server) newRecRaw() *jobRec {
-	r := &jobRec{srv: s, done: make(chan struct{}, 1), buf: make([]byte, 0, 512)}
+	r := &jobRec{srv: s, done: make(chan struct{}, 1), buf: make([]byte, 0, 512), wheelIdx: -1}
 	r.rootFn = r.runRoot
 	r.abortFn = r.onAbort
 	r.releaseFn = r.unref
@@ -263,13 +265,14 @@ func (s *Server) startJob(r *jobRec, wl *Workload, p Params, deadline time.Durat
 	r.refs.Store(2)
 	// The generation was snapshotted before the spawn: once the root is
 	// in a queue the record may finish, be released, and be recycled at
-	// any moment, after which r.gen belongs to the next job.
+	// any moment, after which r.gen belongs to the next job. Arming first
+	// puts every finalization, which drops the entry, after it.
+	if !dl.IsZero() {
+		s.wheel.arm(r, gen, dl)
+	}
 	if err := s.rt.SpawnJobRelease(&r.jc, r.abortFn, r.releaseFn, r.class, r.rootFn); err != nil {
 		r.finish(nil, err, now, time.Now())
 		return err
-	}
-	if !dl.IsZero() {
-		s.wheel.arm(r, gen, dl)
 	}
 	return nil
 }
@@ -432,6 +435,9 @@ func (r *jobRec) abandon() {
 // is waiting on the outcome.
 func (r *jobRec) afterFinish(out finOut) {
 	s := r.srv
+	if !r.jc.deadline.IsZero() {
+		s.wheel.drop(r)
+	}
 	if out.mode == modeAsync {
 		s.mu.Lock()
 		s.evictLocked(r.idStr)
@@ -559,6 +565,7 @@ type dlWheel struct {
 	mu      sync.Mutex
 	heap    []dlEntry
 	running bool
+	wake    time.Time     // when the loop's timer fires
 	kick    chan struct{} // cap 1: wakes the sleeper when an earlier entry arms
 }
 
@@ -567,25 +574,35 @@ func newWheel() *dlWheel {
 }
 
 // arm schedules rec's generation gen to expire at t. The wheel
-// goroutine is started lazily and exits when the heap drains.
+// goroutine is started lazily; it sleeps at least until the first
+// entry's time and exits once it wakes to an empty heap.
 func (w *dlWheel) arm(rec *jobRec, gen uint64, at time.Time) {
 	w.mu.Lock()
+	rec.wheelIdx = len(w.heap)
 	w.heap = append(w.heap, dlEntry{at: at, gen: gen, rec: rec})
 	w.up(len(w.heap) - 1)
-	first := w.heap[0].rec == rec && w.heap[0].gen == gen
-	start := !w.running
-	if start {
-		w.running = true
+	start, earlier := !w.running, at.Before(w.wake)
+	if start || earlier {
+		w.running, w.wake = true, at
 	}
 	w.mu.Unlock()
 	if start {
 		go w.loop()
-	} else if first {
+	} else if earlier {
 		select {
 		case w.kick <- struct{}{}:
 		default:
 		}
 	}
+}
+
+// drop removes a finished job's entry if the wheel still holds it.
+func (w *dlWheel) drop(rec *jobRec) {
+	w.mu.Lock()
+	if i := rec.wheelIdx; i >= 0 {
+		w.remove(i)
+	}
+	w.mu.Unlock()
 }
 
 func (w *dlWheel) loop() {
@@ -595,21 +612,23 @@ func (w *dlWheel) loop() {
 	}
 	for {
 		w.mu.Lock()
-		if len(w.heap) == 0 {
-			w.running = false
-			w.mu.Unlock()
-			return
-		}
-		e := w.heap[0]
 		now := time.Now()
-		if !e.at.After(now) {
-			w.pop()
+		if len(w.heap) > 0 && !w.heap[0].at.After(now) {
+			e := w.heap[0]
+			w.remove(0)
 			w.mu.Unlock()
 			e.rec.expire(e.gen)
 			continue
 		}
+		if len(w.heap) > 0 {
+			w.wake = w.heap[0].at
+		} else if !w.wake.After(now) {
+			w.running = false
+			w.mu.Unlock()
+			return
+		}
+		timer.Reset(w.wake.Sub(now))
 		w.mu.Unlock()
-		timer.Reset(e.at.Sub(now))
 		select {
 		case <-timer.C:
 		case <-w.kick:
@@ -623,15 +642,22 @@ func (w *dlWheel) loop() {
 	}
 }
 
-// pop removes the heap minimum. Caller holds w.mu.
-func (w *dlWheel) pop() {
+// remove takes entry i off the heap. Caller holds w.mu.
+func (w *dlWheel) remove(i int) {
 	last := len(w.heap) - 1
-	w.heap[0] = w.heap[last]
+	w.swap(i, last)
+	w.heap[last].rec.wheelIdx = -1
 	w.heap[last] = dlEntry{}
 	w.heap = w.heap[:last]
-	if last > 0 {
-		w.down(0)
+	if i < last {
+		w.down(i)
+		w.up(i)
 	}
+}
+
+func (w *dlWheel) swap(i, j int) {
+	w.heap[i], w.heap[j] = w.heap[j], w.heap[i]
+	w.heap[i].rec.wheelIdx, w.heap[j].rec.wheelIdx = i, j
 }
 
 func (w *dlWheel) up(i int) {
@@ -640,7 +666,7 @@ func (w *dlWheel) up(i int) {
 		if !w.heap[i].at.Before(w.heap[p].at) {
 			return
 		}
-		w.heap[i], w.heap[p] = w.heap[p], w.heap[i]
+		w.swap(i, p)
 		i = p
 	}
 }
@@ -659,7 +685,7 @@ func (w *dlWheel) down(i int) {
 		if min == i {
 			return
 		}
-		w.heap[i], w.heap[min] = w.heap[min], w.heap[i]
+		w.swap(i, min)
 		i = min
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -24,7 +25,7 @@ type testEnv struct {
 	ts  *httptest.Server
 }
 
-func newEnv(t *testing.T, mutate func(*Config)) *testEnv {
+func newEnv(t testing.TB, mutate func(*Config)) *testEnv {
 	t.Helper()
 	rt, err := runtime.New(runtime.Config{
 		Arch:                  amc.MustNew("test", amc.CGroup{Freq: 2.0, N: 4}),
@@ -229,6 +230,54 @@ func TestDeadlineExceeded504(t *testing.T) {
 	}
 	if strings.Contains(string(body), "wats_cancels_total 0\n") {
 		t.Error("/metrics reports zero task cancels")
+	}
+}
+
+// A finished job's deadline entry leaves the wheel with it: after 10,000
+// noop jobs with a 1 h deadline the heap holds no more entries than jobs
+// in flight, not one per job until the hour is up.
+func TestDeadlineWheelForgetsFinishedJobs(t *testing.T) {
+	s := newAllocEnv(t)
+	wl := noopWL(t, s)
+	for i := 0; i < 10000; i++ {
+		submitNoopOnce(s, wl, time.Hour)
+	}
+	s.wheel.mu.Lock()
+	n := len(s.wheel.heap)
+	s.wheel.mu.Unlock()
+	if in := s.Inflight(); n > in {
+		t.Errorf("deadline wheel holds %d entries with %d jobs in flight", n, in)
+	}
+}
+
+// Dropping entries from anywhere in the heap keeps it a heap, and keeps
+// every record's index pointing at its own entry.
+func TestDeadlineWheelDropKeepsHeapOrder(t *testing.T) {
+	w := newWheel()
+	w.running = true // no loop: entries are only armed and dropped
+	rng := rand.New(rand.NewPCG(1, 2))
+	recs := make([]*jobRec, 500)
+	now := time.Now()
+	for i := range recs {
+		recs[i] = &jobRec{wheelIdx: -1}
+		w.arm(recs[i], 0, now.Add(time.Duration(rng.IntN(100))*time.Second))
+	}
+	for k, i := range rng.Perm(len(recs))[:400] {
+		w.drop(recs[i])
+		if recs[i].wheelIdx != -1 {
+			t.Fatalf("drop %d: dropped record still has index %d", k, recs[i].wheelIdx)
+		}
+		for j, e := range w.heap {
+			if e.rec.wheelIdx != j {
+				t.Fatalf("drop %d: entry %d's record has index %d", k, j, e.rec.wheelIdx)
+			}
+			if p := (j - 1) / 2; j > 0 && e.at.Before(w.heap[p].at) {
+				t.Fatalf("drop %d: entry %d is earlier than its parent", k, j)
+			}
+		}
+	}
+	if len(w.heap) != 100 {
+		t.Errorf("%d entries left, want 100", len(w.heap))
 	}
 }
 

@@ -216,7 +216,10 @@ func (ss *streamSession) writer(bw *bufio.Writer, done chan struct{}) {
 		}
 		if werr == nil {
 			buf = wire.AppendResult(buf[:0], &res)
-			_ = ss.conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+			// Only a frame that flushes or spills the buffer writes.
+			if len(ss.outq) == 0 || bw.Available() < len(buf) {
+				_ = ss.conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+			}
 			if _, err := bw.Write(buf); err != nil {
 				werr = err
 			} else if len(ss.outq) == 0 {

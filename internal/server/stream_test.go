@@ -15,7 +15,7 @@ import (
 
 // dialStream opens a wats-stream/1 connection to the test server via the
 // real client, exercising the handshake + HELLO path end to end.
-func (e *testEnv) dialStream(t *testing.T) *client.StreamClient {
+func (e *testEnv) dialStream(t testing.TB) *client.StreamClient {
 	t.Helper()
 	c, err := client.New(client.Config{BaseURL: e.ts.URL})
 	if err != nil {
@@ -327,5 +327,37 @@ func TestStreamIdleClientStillGetsItsResult(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("session still open 10s after its last result")
+	}
+}
+
+// BenchmarkStreamClosedLoop is serve_noop_stream's load shape: one
+// connection, a window of 64 noop jobs, one Submit+Flush per result.
+// One op is one job; allocs count both ends of the loopback.
+func BenchmarkStreamClosedLoop(b *testing.B) {
+	e := newEnv(b, nil)
+	sc := e.dialStream(b)
+	noopID, _ := sc.WorkloadID("noop")
+	var sent uint64
+	submit := func() {
+		sent++
+		if err := sc.Submit(&wire.Submit{ID: sent, Workload: noopID}); err != nil {
+			b.Fatal(err)
+		}
+		if err := sc.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for sent < 64 && sent < uint64(b.N) {
+		submit()
+	}
+	for done := 0; done < b.N; done++ {
+		if res, ok := <-sc.Results(); !ok || res.Outcome != wire.OutcomeOK {
+			b.Fatalf("result %+v (open %v): %v", res, ok, sc.Err())
+		}
+		if sent < uint64(b.N) {
+			submit()
+		}
 	}
 }
